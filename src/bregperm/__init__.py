@@ -26,13 +26,10 @@ from .permanent import (
     reduce_vector_on_fixed_point,
 )
 from .bregular import (
-    BRegularFamily,
-    MomentPair,
     count_b_regular,
     count_k_cycles,
     enumerate_b_regular,
     fixed_point_mean,
-    fixed_point_moments,
     fixed_point_variance,
     sample_b_regular,
 )
@@ -41,17 +38,12 @@ from .bijection import (
     composition_from_index,
     composition_to_index,
     composition_to_perm,
-    count_k_parts,
     enumerate_compositions,
     perm_to_composition,
     record_positions,
     total_k_parts,
 )
 from .cycindex import (
-    BivariateSeries,
-    ClosedFormMoments,
-    build_tracked_cycle_index,
-    closed_form_moments,
     extract_factorial_moment,
     mean_formula_is_exact,
     mean_k_cycles,
@@ -82,31 +74,24 @@ from .stein import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BRegularFamily",
-    "BivariateSeries",
     "CapExceeded",
     "CltReport",
-    "ClosedFormMoments",
     "Composition",
     "CycleType",
     "DependenceReport",
     "IndependenceProbeReport",
     "IndicatorLaw",
-    "MomentPair",
     "Permutation",
     "RecordProfile",
     "RestrictionMatrix",
     "RestrictionVector",
     "SteinBoundReport",
-    "build_tracked_cycle_index",
-    "closed_form_moments",
     "clt_empirical_test",
     "composition_from_index",
     "composition_to_index",
     "composition_to_perm",
     "count_b_regular",
     "count_k_cycles",
-    "count_k_parts",
     "count_with_fixed_points",
     "cycle_type",
     "dependence_threshold",
@@ -114,7 +99,6 @@ __all__ = [
     "enumerate_compositions",
     "extract_factorial_moment",
     "fixed_point_mean",
-    "fixed_point_moments",
     "fixed_point_variance",
     "independence_probe",
     "indicator_law",

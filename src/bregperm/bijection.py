@@ -149,8 +149,3 @@ def total_k_parts(n: int, k: int) -> int:
     if m == 0:
         return 1
     return (m + 3) * (1 << m) // 4
-
-
-def count_k_parts(c: Composition, k: int) -> int:
-    """Number of parts of c equal to k."""
-    return c.count_parts(k)

@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .core import CapExceeded, CycleType, Permutation, RestrictionVector, cycle_type
+from .core import CapExceeded, Permutation, RestrictionVector, cycle_type
 from .permanent import count_with_fixed_points
 
 ENUMERATE_DEFAULT_CAP = 1 << 22
@@ -31,28 +30,6 @@ def count_b_regular(b: RestrictionVector) -> int:
     8
     """
     return math.prod(1 + i - bi for i, bi in enumerate(b, start=1))
-
-
-@dataclass(frozen=True)
-class BRegularFamily:
-    """A restriction vector together with its exact cardinality."""
-
-    b: RestrictionVector
-    cardinality: int
-
-    @classmethod
-    def of(cls, b: RestrictionVector) -> "BRegularFamily":
-        return cls(b, count_b_regular(b))
-
-    @property
-    def n(self) -> int:
-        return self.b.n
-
-
-@dataclass(frozen=True)
-class MomentPair:
-    mean: Fraction
-    variance: Fraction
 
 
 def enumerate_b_regular(b: RestrictionVector, cap: int = ENUMERATE_DEFAULT_CAP) -> Iterator[Permutation]:
@@ -145,17 +122,8 @@ def fixed_point_variance(b: RestrictionVector) -> Fraction:
     return var
 
 
-def fixed_point_moments(b: RestrictionVector) -> MomentPair:
-    return MomentPair(fixed_point_mean(b), fixed_point_variance(b))
-
-
 def count_k_cycles(p: Permutation, k: int) -> int:
     """Number of k-cycles in the orbit decomposition of p."""
     if k < 1:
         raise ValueError(f"cycle length must be >= 1, got {k}")
     return cycle_type(p).multiplicity(k)
-
-
-def cycle_type_of(p: Permutation) -> CycleType:
-    """Convenience re-export of core.cycle_type."""
-    return cycle_type(p)

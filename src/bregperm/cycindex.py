@@ -1,194 +1,59 @@
-"""Exact generating series for k-cycle counts of one-subdiagonal permutations.
+"""Exact k-cycle moments of one-subdiagonal permutations.
 
 Under the bijection with compositions, a uniform permutation of size n
 corresponds to a uniform composition, and its k-cycles to parts of size k.
 Weighting every size-n object by u^n / 2^(n-1) and marking parts of size k
 with x gives
 
-    G(u, x) = 2 * sum_{j >= 1} T^j,  T = x (u/2)^k + sum_{i != k} (u/2)^i,
+    G(u, x) = 2T / (1 - T),  T = (u/2) / (1 - u/2) + (x - 1) (u/2)^k,
 
 because a composition with parts (c_1, ..., c_j) contributes the product of
 (u/2)^{c_l}, with x attached to parts of size k, and 2^{n-1} compositions
 share each n.  Substituting x = 1 collapses G to u / (1 - u), total mass 1
 per size.
 
-Series here are truncated in u and in powers of (x - 1), not powers of x:
-the coefficient of u^n (x-1)^m times m! is exactly the m-th falling
-(factorial) moment of the k-cycle count, and truncation in (x - 1) is an
-ideal, so low truncation orders stay exact for low moments.  Truncating in
-powers of x instead would silently drop the high-degree terms that feed
-every moment.
+With y = x - 1, the coefficient of u^n y^m times m! is exactly the m-th
+falling (factorial) moment of the k-cycle count.  Scaling row n by 2^n makes
+every coefficient an integer: H_n = 2^n [u^n] G satisfies H_0 = 0 and
 
-All coefficients are exact Fractions; denominators stay powers of two.
+    H_n = 2 + 2 [n = k] y + sum_{j < n} H_j + y H_{n-k}   (last term for n > k),
+
+which is G = 2T + T G read coefficientwise.  Truncating every H_j after y^m
+is an ideal truncation (it commutes with sums and with the shift by y), so
+the y^m coefficient stays exact; truncating in powers of x instead would
+silently drop the high-degree terms that feed every moment.  With a running
+prefix sum the recurrence costs O(n m) integer additions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import deque
 from fractions import Fraction
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
-DEFAULT_EXTRA_ORDER = 1
-
-
-@dataclass(frozen=True)
-class BivariateSeries:
-    """Truncated series sum c[m][j] * u^m * (x-1)^j with exact coefficients.
-
-    Rows index powers of u (0..u_order), columns powers of the offset
-    variable x-1 (0..x_order).  Arithmetic truncates to the common orders.
-    """
-
-    u_order: int
-    x_order: int
-    coeffs: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.u_order < 0 or self.x_order < 0:
-            raise ValueError("truncation orders must be >= 0")
-        if len(self.coeffs) != self.u_order + 1 or any(len(r) != self.x_order + 1 for r in self.coeffs):
-            raise ValueError("coefficient grid does not match the declared orders")
-
-    @classmethod
-    def zero(cls, u_order: int, x_order: int) -> "BivariateSeries":
-        row = (_ZERO,) * (x_order + 1)
-        return cls(u_order, x_order, (row,) * (u_order + 1))
-
-    @classmethod
-    def from_terms(cls, u_order: int, x_order: int, terms: dict[tuple[int, int], Fraction | int]) -> "BivariateSeries":
-        """Series with the given {(u_power, offset_power): coefficient} terms.
-
-        Terms beyond the truncation orders are rejected rather than dropped.
-        """
-        grid = [[_ZERO] * (x_order + 1) for _ in range(u_order + 1)]
-        for (mu, mx), v in terms.items():
-            if not (0 <= mu <= u_order and 0 <= mx <= x_order):
-                raise ValueError(f"term u^{mu} (x-1)^{mx} exceeds truncation ({u_order}, {x_order})")
-            grid[mu][mx] += Fraction(v)
-        return cls(u_order, x_order, tuple(tuple(r) for r in grid))
-
-    def coefficient(self, u_power: int, offset_power: int) -> Fraction:
-        """Coefficient of u^u_power (x-1)^offset_power; refuses out-of-range reads."""
-        if not 0 <= u_power <= self.u_order:
-            raise ValueError(f"u^{u_power} is beyond the truncation order {self.u_order}")
-        if not 0 <= offset_power <= self.x_order:
-            raise ValueError(f"(x-1)^{offset_power} is beyond the truncation order {self.x_order}")
-        return self.coeffs[u_power][offset_power]
-
-    def _require_same_orders(self, other: "BivariateSeries") -> None:
-        if (self.u_order, self.x_order) != (other.u_order, other.x_order):
-            raise ValueError("series have different truncation orders")
-
-    def __add__(self, other: "BivariateSeries") -> "BivariateSeries":
-        self._require_same_orders(other)
-        return BivariateSeries(
-            self.u_order,
-            self.x_order,
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.coeffs, other.coeffs)),
-        )
-
-    def __sub__(self, other: "BivariateSeries") -> "BivariateSeries":
-        self._require_same_orders(other)
-        return BivariateSeries(
-            self.u_order,
-            self.x_order,
-            tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.coeffs, other.coeffs)),
-        )
-
-    def __mul__(self, other: "BivariateSeries") -> "BivariateSeries":
-        self._require_same_orders(other)
-        nu, nx = self.u_order, self.x_order
-        grid = [[_ZERO] * (nx + 1) for _ in range(nu + 1)]
-        for ma, row_a in enumerate(self.coeffs):
-            for ja, a in enumerate(row_a):
-                if a == 0:
-                    continue
-                for mb in range(nu + 1 - ma):
-                    row_b = other.coeffs[mb]
-                    target = grid[ma + mb]
-                    for jb in range(min(nx - ja, nx) + 1):
-                        bv = row_b[jb]
-                        if bv:
-                            target[ja + jb] += a * bv
-        return BivariateSeries(nu, nx, tuple(tuple(r) for r in grid))
-
-    def scaled(self, factor: Fraction | int) -> "BivariateSeries":
-        f = Fraction(factor)
-        return BivariateSeries(
-            self.u_order, self.x_order, tuple(tuple(f * a for a in row) for row in self.coeffs)
-        )
-
-    def derivative_x(self) -> "BivariateSeries":
-        """d/dx (equivalently d/d(x-1)); the offset order drops by one."""
-        if self.x_order == 0:
-            raise ValueError("cannot differentiate: offset order is 0")
-        return BivariateSeries(
-            self.u_order,
-            self.x_order - 1,
-            tuple(tuple((j + 1) * row[j + 1] for j in range(self.x_order)) for row in self.coeffs),
-        )
-
-    def substitute_x(self, x_value: Fraction | int) -> tuple[Fraction, ...]:
-        """Evaluate at x = x_value; returns the per-u-power coefficients."""
-        t = Fraction(x_value) - 1
-        out = []
-        for row in self.coeffs:
-            acc = _ZERO
-            for c in reversed(row):
-                acc = acc * t + c
-            out.append(acc)
-        return tuple(out)
-
-
-def build_tracked_cycle_index(u_order: int, k: int, x_order: int) -> BivariateSeries:
-    """The series G = 2 * sum_{j>=1} T^j of the module docstring, truncated.
-
-    Solved coefficientwise from (1 - T) G = 2 T, which needs no division
-    because T has no constant term in u.
-    """
-    if u_order < 1:
-        raise ValueError(f"u_order must be >= 1, got {u_order}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if x_order < 0:
-        raise ValueError(f"x_order must be >= 0, got {x_order}")
-    nx = x_order
-    # T rows: t[i] = (u/2)^i + [i == k] * (x - 1) (u/2)^k  as polynomials in (x-1)
-    t_rows: list[list[Fraction]] = []
-    for i in range(u_order + 1):
-        row = [_ZERO] * (nx + 1)
-        if i >= 1:
-            row[0] = Fraction(1, 1 << i)
-            if i == k and nx >= 1:
-                row[1] = Fraction(1, 1 << i)
-        t_rows.append(row)
-
-    def poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-        out = [_ZERO] * (nx + 1)
-        for ja, av in enumerate(a):
-            if av:
-                for jb in range(nx + 1 - ja):
-                    bv = b[jb]
-                    if bv:
-                        out[ja + jb] += av * bv
-        return out
-
-    g_rows: list[list[Fraction]] = [[_ZERO] * (nx + 1)]
-    for m in range(1, u_order + 1):
-        row = [2 * c for c in t_rows[m]]
-        for a in range(1, m):
-            prod = poly_mul(t_rows[a], g_rows[m - a])
-            row = [x + y for x, y in zip(row, prod)]
-        g_rows.append(row)
-    return BivariateSeries(u_order, nx, tuple(tuple(r) for r in g_rows))
+def _scaled_row(n: int, k: int, order: int) -> list[int]:
+    """H_n of the module docstring: coefficients of y^0..y^order, integers."""
+    window = deque([[0] * (order + 1)], maxlen=k)  # H_{max(0, j-k)} .. H_{j-1}
+    prefix = [0] * (order + 1)  # sum of H_i for i < j
+    for j in range(1, n + 1):
+        row = prefix.copy()
+        row[0] += 2
+        if j == k and order >= 1:
+            row[1] += 2
+        if len(window) == k:
+            shifted = window[0]  # H_{j-k}
+            for d in range(order):
+                row[d + 1] += shifted[d]
+        for d in range(order + 1):
+            prefix[d] += row[d]
+        window.append(row)
+    return window[-1]
 
 
 def extract_factorial_moment(n: int, k: int, m: int) -> Fraction:
     """m-th falling moment E[C (C-1) ... (C-m+1)] of the k-cycle count of a
-    uniform one-subdiagonal permutation of size n, by exact series extraction.
+    uniform one-subdiagonal permutation of size n, exact for every n, k, m.
 
     >>> extract_factorial_moment(5, 1, 1)
     Fraction(7, 4)
@@ -197,8 +62,9 @@ def extract_factorial_moment(n: int, k: int, m: int) -> Fraction:
         raise ValueError(f"n must be >= 1, got {n}")
     if m < 0:
         raise ValueError(f"moment order must be >= 0, got {m}")
-    series = build_tracked_cycle_index(n, k, m + DEFAULT_EXTRA_ORDER)
-    return math.factorial(m) * series.coefficient(n, m)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return Fraction(math.factorial(m) * _scaled_row(n, k, m)[m], 1 << n)
 
 
 def mean_k_cycles(n: int, k: int) -> Fraction:
@@ -245,23 +111,6 @@ def _check_nk(n: int, k: int) -> None:
         raise ValueError(f"need n, k >= 1, got n={n}, k={k}")
     if k > n:
         raise ValueError(f"cycle length k={k} exceeds n={n}")
-
-
-@dataclass(frozen=True)
-class ClosedFormMoments:
-    """Mean, variance and second falling moment of the k-cycle count."""
-
-    n: int
-    k: int
-    mean: Fraction
-    variance: Fraction
-    second_falling: Fraction
-
-
-def closed_form_moments(n: int, k: int) -> ClosedFormMoments:
-    return ClosedFormMoments(
-        n, k, mean_k_cycles(n, k), variance_k_cycles(n, k), second_falling_moment(n, k)
-    )
 
 
 def mean_formula_is_exact(n: int, k: int) -> bool:

@@ -27,9 +27,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bijection import perm_to_composition
 from .bregular import enumerate_b_regular
-from .core import Permutation, RestrictionVector
+from .core import RestrictionVector
 from .cycindex import mean_k_cycles, variance_k_cycles
 
 _CLT_CHUNK_ELEMENTS = 20_000_000
@@ -487,8 +486,3 @@ def independence_probe(n: int, r: int = 3) -> IndependenceProbeReport:
         least_all_independent_gap=least,
         dependent_witness_at_gap=witness,
     )
-
-
-def perm_k_cycle_count_via_composition(p: Permutation, k: int) -> int:
-    """k-cycle count read off the composition image; used for cross-checks."""
-    return perm_to_composition(p).count_parts(k)

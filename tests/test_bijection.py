@@ -15,7 +15,6 @@ from bregperm.bijection import (
     composition_from_index,
     composition_to_index,
     composition_to_perm,
-    count_k_parts,
     enumerate_compositions,
     perm_to_composition,
     record_positions,
@@ -82,7 +81,7 @@ class TestBothDirections:
         p = composition_to_perm(c)
         assert perm_to_composition(p) == c
         for k in range(1, c.total + 1):
-            assert count_k_parts(c, k) == oracles.count_cycles(p.images, k)
+            assert c.count_parts(k) == oracles.count_cycles(p.images, k)
 
 
 class TestCutWordCodec:

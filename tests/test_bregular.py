@@ -13,13 +13,10 @@ from hypothesis import given, settings
 import oracles
 import strategies
 from bregperm.bregular import (
-    BRegularFamily,
-    MomentPair,
     count_b_regular,
     count_k_cycles,
     enumerate_b_regular,
     fixed_point_mean,
-    fixed_point_moments,
     fixed_point_variance,
     sample_b_regular,
 )
@@ -42,11 +39,6 @@ class TestCount:
 
     def test_anchor(self):
         assert count_b_regular(RestrictionVector((1, 1, 2, 4, 4))) == 8
-
-    def test_family_bundle(self):
-        fam = BRegularFamily.of(RestrictionVector.b2(6))
-        assert fam.n == 6
-        assert fam.cardinality == 32
 
     @given(strategies.restriction_vectors(max_n=7))
     @settings(deadline=None, max_examples=60)
@@ -130,7 +122,6 @@ class TestFixedPointMoments:
         b = RestrictionVector.b2(5)
         assert fixed_point_mean(b) == Fraction(7, 4)
         assert fixed_point_variance(b) == Fraction(29, 16)
-        assert fixed_point_moments(b) == MomentPair(Fraction(7, 4), Fraction(29, 16))
 
     def test_unrestricted_family_mean_is_one(self):
         for n in range(1, 7):

@@ -13,6 +13,7 @@ import pytest
 from bregperm import __version__
 from bregperm.cli import main, parse_b_spec
 from bregperm.core import RestrictionVector
+from bregperm.cycindex import extract_factorial_moment
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -127,6 +128,21 @@ class TestMoments:
         assert code == 0
         data_rows = out.strip().splitlines()[1:]
         assert [r.split(",")[1] for r in data_rows] == ["1", "3"]
+
+    def test_every_row_is_exact(self, capsys):
+        # closed forms stop being the truth for k > (n - 1) / 2; rows there
+        # must come from the series, so no row may differ from it
+        code, out, _ = run(capsys, "moments", "--n", "10")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert [int(r[1]) for r in rows] == list(range(1, 11))
+        for row in rows:
+            n, k, mn, md, vn, vd, sn, sd = map(int, row)
+            mean = extract_factorial_moment(n, k, 1)
+            falling = extract_factorial_moment(n, k, 2)
+            assert Fraction(mn, md) == mean
+            assert Fraction(sn, sd) == falling
+            assert Fraction(vn, vd) == falling + mean - mean * mean
 
     def test_bad_k_range(self, capsys):
         code, _, err = run(capsys, "moments", "--n", "5", "--k", "0:9")

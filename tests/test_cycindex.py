@@ -1,6 +1,5 @@
-"""Exact generating series for k-cycle counts: the truncated bivariate
-series type, the series builder, moment extraction, and the closed forms
-with their validity predicates."""
+"""Exact k-cycle moments: extraction from the generating function, and the
+closed forms with their validity predicates."""
 
 from __future__ import annotations
 
@@ -12,9 +11,6 @@ from hypothesis import strategies as st
 
 import oracles
 from bregperm.cycindex import (
-    BivariateSeries,
-    build_tracked_cycle_index,
-    closed_form_moments,
     extract_factorial_moment,
     mean_formula_is_exact,
     mean_k_cycles,
@@ -24,84 +20,6 @@ from bregperm.cycindex import (
 )
 
 
-class TestBivariateSeries:
-    def test_from_terms_and_coefficient(self):
-        s = BivariateSeries.from_terms(3, 2, {(1, 0): 2, (2, 1): Fraction(1, 4)})
-        assert s.coefficient(1, 0) == 2
-        assert s.coefficient(2, 1) == Fraction(1, 4)
-        assert s.coefficient(0, 0) == 0
-        with pytest.raises(ValueError, match="exceeds"):
-            BivariateSeries.from_terms(3, 2, {(4, 0): 1})
-        with pytest.raises(ValueError, match="beyond"):
-            s.coefficient(4, 0)
-        with pytest.raises(ValueError, match="beyond"):
-            s.coefficient(0, 3)
-
-    def test_grid_shape_enforced(self):
-        with pytest.raises(ValueError, match="grid"):
-            BivariateSeries(1, 1, ((Fraction(0),),))
-
-    def test_add_sub_scaled(self):
-        a = BivariateSeries.from_terms(2, 1, {(1, 0): 1, (2, 1): 3})
-        b = BivariateSeries.from_terms(2, 1, {(1, 0): 2, (0, 1): 5})
-        total = a + b
-        assert total.coefficient(1, 0) == 3
-        assert total.coefficient(0, 1) == 5
-        assert (total - a).coefficient(0, 1) == 5
-        assert a.scaled(Fraction(1, 2)).coefficient(2, 1) == Fraction(3, 2)
-        mismatched = BivariateSeries.zero(2, 2)
-        with pytest.raises(ValueError, match="different truncation"):
-            a + mismatched
-
-    def test_multiplication_truncates(self):
-        # (u + u^2 t) * (u + u^2 t) with t = x - 1, truncated at (3, 1):
-        # u^2 + 2 u^3 t; the t^2 term falls outside the offset order.
-        s = BivariateSeries.from_terms(3, 1, {(1, 0): 1, (2, 1): 1})
-        sq = s * s
-        assert sq.coefficient(2, 0) == 1
-        assert sq.coefficient(3, 1) == 2
-        assert sq.coefficient(1, 0) == 0
-
-    def test_derivative_in_x(self):
-        s = BivariateSeries.from_terms(2, 2, {(1, 1): 3, (2, 2): 5})
-        d = s.derivative_x()
-        assert d.x_order == 1
-        assert d.coefficient(1, 0) == 3
-        assert d.coefficient(2, 1) == 10
-        with pytest.raises(ValueError):
-            d.derivative_x().derivative_x()
-
-    def test_substitute_x(self):
-        # row for u^1 is 2 + 3(x-1): at x = 1 -> 2, at x = 2 -> 5
-        s = BivariateSeries.from_terms(1, 1, {(1, 0): 2, (1, 1): 3})
-        assert s.substitute_x(1) == (Fraction(0), Fraction(2))
-        assert s.substitute_x(2) == (Fraction(0), Fraction(5))
-
-
-class TestBuildSeries:
-    def test_mass_is_one_per_size(self):
-        for k in (1, 2, 5):
-            series = build_tracked_cycle_index(12, k, 2)
-            at_one = series.substitute_x(1)
-            assert at_one[0] == 0
-            assert all(c == 1 for c in at_one[1:])
-
-    def test_denominators_are_powers_of_two(self):
-        series = build_tracked_cycle_index(14, 2, 3)
-        for row in series.coeffs:
-            for c in row:
-                d = c.denominator
-                assert d & (d - 1) == 0
-
-    def test_argument_validation(self):
-        with pytest.raises(ValueError):
-            build_tracked_cycle_index(0, 1, 1)
-        with pytest.raises(ValueError):
-            build_tracked_cycle_index(5, 0, 1)
-        with pytest.raises(ValueError):
-            build_tracked_cycle_index(5, 1, -1)
-
-
 class TestExtractFactorialMoment:
     def test_anchor(self):
         assert extract_factorial_moment(5, 1, 1) == Fraction(7, 4)
@@ -109,8 +27,10 @@ class TestExtractFactorialMoment:
         assert extract_factorial_moment(10, 1, 2) == Fraction(75, 8)
 
     def test_zeroth_moment_is_one(self):
-        for n in (1, 4, 9):
-            assert extract_factorial_moment(n, 2, 0) == 1
+        # total mass: setting x = 1 leaves one unit per size
+        for n in range(1, 13):
+            for k in range(1, 14):
+                assert extract_factorial_moment(n, k, 0) == 1
 
     def test_matches_enumeration_exhaustively(self):
         for n in range(1, 10):
@@ -125,6 +45,8 @@ class TestExtractFactorialMoment:
             extract_factorial_moment(0, 1, 1)
         with pytest.raises(ValueError):
             extract_factorial_moment(5, 1, -1)
+        with pytest.raises(ValueError):
+            extract_factorial_moment(5, 0, 1)
 
 
 class TestClosedForms:
@@ -132,12 +54,6 @@ class TestClosedForms:
         assert mean_k_cycles(10, 1) == Fraction(3)
         assert second_falling_moment(10, 1) == Fraction(75, 8)
         assert variance_k_cycles(10, 1) == Fraction(27, 8)
-        bundle = closed_form_moments(10, 1)
-        assert (bundle.mean, bundle.variance, bundle.second_falling) == (
-            Fraction(3),
-            Fraction(27, 8),
-            Fraction(75, 8),
-        )
 
     def test_validity_predicates(self):
         assert mean_formula_is_exact(10, 9)

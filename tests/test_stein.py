@@ -24,7 +24,6 @@ from bregperm.stein import (
     indicator_probability,
     joint_indicator_probability,
     kolmogorov_from_wasserstein,
-    perm_k_cycle_count_via_composition,
     sample_k_part_counts,
     shifted_moment_sums,
     standard_normal_cdf,
@@ -287,13 +286,14 @@ class TestCltRun:
 
 class TestCompositionView:
     def test_matches_direct_cycle_count(self):
+        from bregperm.bijection import perm_to_composition
         from bregperm.bregular import count_k_cycles, enumerate_b_regular
         from bregperm.core import RestrictionVector
 
         for n in range(1, 9):
             for p in enumerate_b_regular(RestrictionVector.b2(n)):
                 for k in range(1, n + 1):
-                    assert perm_k_cycle_count_via_composition(p, k) == count_k_cycles(p, k)
+                    assert perm_to_composition(p).count_parts(k) == count_k_cycles(p, k)
 
 
 class TestIndependenceProbe:
