@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from bregperm.cycindex import (
+    _scaled_row,
     extract_factorial_moment,
     mean_formula_is_exact,
     mean_k_cycles,
@@ -18,6 +19,29 @@ from bregperm.cycindex import (
     second_falling_moment,
     variance_k_cycles,
 )
+
+
+class TestBuildSeries:
+    def test_mass_is_one_per_size(self):
+        # the y^0 column of the scaled rows H_n is 2^n: total mass 1 per size
+        for k in (1, 2, 5):
+            assert _scaled_row(0, k, 2) == [0, 0, 0]
+            for n in range(1, 13):
+                assert _scaled_row(n, k, 2)[0] == 1 << n
+
+    def test_denominators_are_powers_of_two(self):
+        for n in range(1, 15):
+            for m in range(4):
+                d = extract_factorial_moment(n, 2, m).denominator
+                assert d & (d - 1) == 0
+
+    def test_argument_validation(self):
+        with pytest.raises(ValueError, match="n must be"):
+            extract_factorial_moment(0, 1, 1)
+        with pytest.raises(ValueError, match="k must be"):
+            extract_factorial_moment(5, 0, 1)
+        with pytest.raises(ValueError, match="moment order"):
+            extract_factorial_moment(5, 1, -1)
 
 
 class TestExtractFactorialMoment:
