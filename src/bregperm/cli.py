@@ -31,7 +31,7 @@ from .cycindex import (
     second_falling_moment,
 )
 from .permanent import ENUMERATE_DEFAULT_CAP, RYSER_DEFAULT_CAP, permanent_enumerate, permanent_ryser
-from .stein import clt_empirical_test, stein_bound_report
+from .stein import CLT_STREAM_VERSION, clt_empirical_test, stein_bound_report
 from .verify import CLT_PUBLISHED_SEED, format_results, run_checks
 
 
@@ -185,9 +185,16 @@ def _cmd_bound(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 
 def _cmd_clt(args: argparse.Namespace, argv: Sequence[str]) -> int:
+    if args.k < 1 or args.n < 2 * args.k + 1:
+        raise _UsageError(f"need --k >= 1 and --n >= 2k + 1, got --n {args.n} --k {args.k}")
+    if args.samples < 2:
+        raise _UsageError(f"need --samples >= 2, got {args.samples}")
+    if args.seed < 0:
+        raise _UsageError(f"need --seed >= 0, got {args.seed}")
     report = clt_empirical_test(args.n, args.k, args.samples, args.seed)
     meta_stream = sys.stderr if args.format == "csv" and not args.out else sys.stdout
     _emit_meta(meta_stream, "clt", argv, seed=args.seed)
+    print(f"stream={CLT_STREAM_VERSION}", file=meta_stream)
     print(f"n={report.n}", file=meta_stream)
     print(f"k={report.k}", file=meta_stream)
     print(f"samples={report.samples}", file=meta_stream)
@@ -210,6 +217,8 @@ def _cmd_clt(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace, argv: Sequence[str]) -> int:
+    if args.samples < 0:
+        raise _UsageError(f"need --samples >= 0, got {args.samples}")
     b = _resolve_b(args)
     _emit_meta(sys.stdout, "sample", argv, seed=args.seed)
     print(f"b={','.join(str(v) for v in b.entries)}")

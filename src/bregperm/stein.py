@@ -31,7 +31,9 @@ from .bregular import enumerate_b_regular
 from .core import RestrictionVector
 from .cycindex import mean_k_cycles, variance_k_cycles
 
-_CLT_CHUNK_ELEMENTS = 20_000_000
+# Bumped whenever the sampler maps a seed to different draws.
+CLT_STREAM_VERSION = 2
+_CHUNK_WORDS = 1 << 19  # 4 MB per uint64 working array
 
 
 def _segment_count(m: int) -> int:
@@ -288,33 +290,48 @@ def standard_normal_cdf(z: float) -> float:
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
 
-def sample_k_part_counts(n: int, k: int, samples: int, rng: np.random.Generator) -> np.ndarray:
-    """k-part counts of `samples` uniform compositions of n, vectorised.
+def _shift_down(words: np.ndarray, s: int) -> np.ndarray:
+    """Each row read as one LSB-first multiword integer, shifted right by s < 64 * width."""
+    q, r = divmod(s, 64)
+    out = np.zeros_like(words)
+    out[:, : words.shape[1] - q] = words[:, q:] >> r
+    out[:, : words.shape[1] - q - 1] |= words[:, q + 1 :] << (64 - r)  # numpy: x << 64 == 0
+    return out
 
-    Each composition is drawn as an (n-1)-bit cut word; a part of size k
-    shows up as boundaries exactly k apart with none in between.
+
+def sample_k_part_counts(n: int, k: int, samples: int, rng: np.random.Generator) -> np.ndarray:
+    """k-part counts of `samples` uniform compositions of n, bit-packed.
+
+    Each composition is an (n+1)-bit cut word c packed LSB first into
+    W = (n + 64) // 64 uint64 words drawn straight from `rng`: bit p is bit
+    p % 64 of word p // 64, bits 0 and n are forced to 1 and bits above n
+    are cleared.  A part of size k starts at p exactly when cuts sit at p and
+    p + k with none in between, so the count is the broadword popcount of
+
+        c & (c >> k) & ~(c >> 1) & ... & ~(c >> (k-1))
+
+    with shifts carrying across words.  Clearing the bits above n already
+    confines the starts to 0..n-k, and the run of k-1 clear bits is found
+    by doubling, in O(log k) shifts.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     _check_indicator_args(n, k)
     out = np.empty(samples, dtype=np.int64)
-    pos = 0
-    chunk = max(1, _CLT_CHUNK_ELEMENTS // (n + 1))
-    while pos < samples:
-        m = min(chunk, samples - pos)
-        bits = rng.integers(0, 2, size=(m, n + 1), dtype=np.int16)
-        bits[:, 0] = 1
-        bits[:, n] = 1
-        cum = np.cumsum(bits, axis=1)
-        left = bits[:, 0 : n - k + 1] == 1
-        right = bits[:, k : n + 1] == 1
-        if k == 1:
-            hits = left & right
-        else:
-            # boundaries strictly inside the window: cum[p+k-1] - cum[p]
-            hits = left & right & (cum[:, k - 1 : n] - cum[:, 0 : n - k + 1] == 0)
-        out[pos : pos + m] = hits.sum(axis=1)
-        pos += m
+    width, top = (n + 64) // 64, n % 64
+    chunk = max(1, _CHUNK_WORDS // width)
+    for pos in range(0, samples, chunk):
+        c = rng.integers(0, 2**64, size=(min(chunk, samples - pos), width), dtype=np.uint64)
+        c[:, 0] |= np.uint64(1)
+        c[:, -1] = c[:, -1] & np.uint64((2 << top) - 1) | np.uint64(1 << top)
+        hits = c & _shift_down(c, k)
+        free, span = ~c, 1  # bit p of free: no cut at p .. p+span-1
+        while span < k - 1:
+            free &= _shift_down(free, min(span, k - 1 - span))
+            span = min(2 * span, k - 1)
+        if k > 1:
+            hits &= _shift_down(free, 1)
+        out[pos : pos + len(c)] = np.bitwise_count(hits).sum(axis=1)
     return out
 
 

@@ -14,6 +14,7 @@ from bregperm import __version__
 from bregperm.cli import main, parse_b_spec
 from bregperm.core import RestrictionVector
 from bregperm.cycindex import extract_factorial_moment
+from bregperm.stein import CLT_STREAM_VERSION
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -177,6 +178,7 @@ class TestClt:
         assert fields["n"] == "60"
         assert fields["mu"] == "31/2"
         assert fields["sigma2"] == "19/1"
+        assert fields["stream"] == str(CLT_STREAM_VERSION)
         assert "ks_stat" in fields and "dw_bound" in fields and "dk_bound" in fields
 
     def test_histogram_to_file(self, capsys, tmp_path):
@@ -198,9 +200,27 @@ class TestClt:
         )
         assert code == 0
         assert "command=clt" in err  # metadata moves to stderr
+        assert kv(err)["stream"] == str(CLT_STREAM_VERSION)
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["z_lo", "z_hi", "count"]
         assert sum(int(r[2]) for r in rows[1:]) == 2000
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--n", "60", "--k", "1", "--seed", "-1"),
+            ("--n", "60", "--k", "1", "--samples", "1"),
+            ("--n", "60", "--k", "1", "--samples", "0"),
+            ("--n", "60", "--k", "1", "--samples", "-5"),
+            ("--n", "4", "--k", "2"),
+            ("--n", "60", "--k", "0"),
+        ],
+    )
+    def test_bad_arguments_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, "clt", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
 class TestSample:
@@ -219,6 +239,12 @@ class TestSample:
 
         for line in image_lines:
             assert Permutation(tuple(int(v) for v in line.split(","))).satisfies(b)
+
+    def test_negative_sample_count_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "sample", "b2:5", "--samples", "-3")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
 
     def test_different_seeds_differ(self, capsys):
         _, out1, _ = run(capsys, "sample", "b2:10", "--samples", "3", "--seed", "1")

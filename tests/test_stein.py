@@ -247,6 +247,18 @@ class TestSampling:
             _, p_value = stats.chisquare(obs, exp)
             assert p_value > 0.001
 
+    @pytest.mark.parametrize("n", (2, 3, 63, 64, 65, 127, 128, 129, 200))
+    def test_counts_equal_unpacked_reference_at_word_edges(self, n):
+        # the same words unpacked one bit per cell, gaps between cuts counted
+        draws = 300
+        for k in range(1, min(n, 6) + 1):
+            got = sample_k_part_counts(n, k, draws, np.random.default_rng(k))
+            words = np.random.default_rng(k).integers(0, 2**64, size=(draws, (n + 64) // 64), dtype=np.uint64)
+            bits = np.unpackbits(words.astype("<u8").view(np.uint8), axis=1, bitorder="little")[:, : n + 1]
+            bits[:, [0, n]] = 1
+            expected = [int((np.diff(np.flatnonzero(row)) == k).sum()) for row in bits]
+            assert got.tolist() == expected
+
     def test_argument_validation(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
