@@ -116,7 +116,15 @@ def _resolve_b(args: argparse.Namespace) -> RestrictionVector:
         return parse_b_spec(args.b_spec)
     if args.n is None:
         raise _UsageError("give a restriction spec or --n (with optional --r)")
-    return RestrictionVector.br(args.r, args.n)
+    try:
+        return RestrictionVector.br(args.r, args.n)
+    except ValueError as exc:
+        raise _UsageError(f"bad staircase --n {args.n} --r {args.r}: {exc}") from exc
+
+
+def _check_n_k(args: argparse.Namespace) -> None:
+    if args.k < 1 or args.n < 2 * args.k + 1:
+        raise _UsageError(f"need --k >= 1 and --n >= 2k + 1, got --n {args.n} --k {args.k}")
 
 
 def _cmd_count(args: argparse.Namespace, argv: Sequence[str]) -> int:
@@ -135,6 +143,8 @@ def _cmd_count(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 
 def _cmd_moments(args: argparse.Namespace, argv: Sequence[str]) -> int:
+    if args.n < 1:
+        raise _UsageError(f"need --n >= 1, got {args.n}")
     ks = _parse_k_range(args.k, args.n) if args.k else list(range(1, args.n + 1))
     header = ("n", "k", "mean_num", "mean_den", "var_num", "var_den",
               "second_falling_num", "second_falling_den")
@@ -169,6 +179,7 @@ def _cmd_moments(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 
 def _cmd_bound(args: argparse.Namespace, argv: Sequence[str]) -> int:
+    _check_n_k(args)
     report = stein_bound_report(args.n, args.k)
     _emit_meta(sys.stdout, "bound", argv)
     print(f"n={report.n}")
@@ -185,8 +196,7 @@ def _cmd_bound(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 
 def _cmd_clt(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    if args.k < 1 or args.n < 2 * args.k + 1:
-        raise _UsageError(f"need --k >= 1 and --n >= 2k + 1, got --n {args.n} --k {args.k}")
+    _check_n_k(args)
     if args.samples < 2:
         raise _UsageError(f"need --samples >= 2, got {args.samples}")
     if args.seed < 0:
@@ -246,7 +256,7 @@ def _cmd_compose(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 def _cmd_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
     _emit_meta(sys.stdout, "verify", argv)
-    results = run_checks(args.level, include_cli=True)
+    results = run_checks(args.level)
     print(format_results(results))
     return 0 if all(res.passed for res in results) else 2
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 
 class CapExceeded(RuntimeError):
@@ -64,10 +64,6 @@ class RestrictionVector:
         if not 1 <= i <= self.n:
             raise IndexError(f"position {i} out of range 1..{self.n}")
         return self.entries[i - 1]
-
-    @classmethod
-    def of(cls, values: Sequence[int]) -> "RestrictionVector":
-        return cls(tuple(values))
 
     @classmethod
     def b2(cls, n: int) -> "RestrictionVector":
@@ -128,10 +124,6 @@ class RestrictionMatrix:
     def entry(self, i: int, j: int) -> int:
         """1-based access: entry(i, j) = M_{ij}."""
         return self.rows[i - 1][j - 1]
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "RestrictionMatrix":
-        return cls(tuple(tuple(r) for r in rows))
 
 
 def matrix_from_vector(b: RestrictionVector) -> RestrictionMatrix:
@@ -276,15 +268,3 @@ class Composition:
     def count_parts(self, k: int) -> int:
         """Number of parts equal to k."""
         return self.parts.count(k)
-
-    @classmethod
-    def from_text(cls, text: str) -> "Composition":
-        """Parse the comma-separated form, e.g. "1,3,1,5"."""
-        try:
-            parts = tuple(int(tok) for tok in text.split(","))
-        except ValueError as exc:
-            raise ValueError(f"malformed composition {text!r}: {exc}") from None
-        return cls(parts)
-
-    def to_text(self) -> str:
-        return ",".join(str(p) for p in self.parts)

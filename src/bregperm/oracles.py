@@ -1,17 +1,20 @@
-"""Brute-force oracles for the test suite.
+"""Brute-force reference implementations: the one oracle behind
+``bregperm verify`` and the test suite.
 
 Every function here is written from first principles with the standard
 library only, deliberately avoiding the algorithms under test: permanents
 by summing over all permutations, restricted families by filtering the
 full symmetric group, compositions by recursion, cycle structure by
-walking the functional graph.  They are slow and simple on purpose —
-their job is to be obviously correct at small sizes.
+walking the functional graph, part positions by walking the parts.  They
+are slow and simple on purpose — their job is to be obviously correct at
+small sizes.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import Iterable
 
 
 def staircase(r: int, n: int) -> tuple[int, ...]:
@@ -25,7 +28,11 @@ def b2(n: int) -> tuple[int, ...]:
 
 
 def valid_vectors(n: int) -> list[tuple[int, ...]]:
-    """Every non-decreasing tuple (b_1, ..., b_n) with 1 <= b_i <= i."""
+    """Every non-decreasing tuple (b_1, ..., b_n) with 1 <= b_i <= i.
+
+    >>> valid_vectors(3)
+    [(1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 2), (1, 2, 3)]
+    """
     if n == 0:
         return [()]
     out: list[tuple[int, ...]] = []
@@ -78,6 +85,21 @@ def compositions(n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def part_starts(parts: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """1-based positions at which a part of size k starts.
+
+    >>> part_starts((2, 1, 2), 2)
+    (1, 4)
+    """
+    starts = []
+    position = 1
+    for size in parts:
+        if size == k:
+            starts.append(position)
+        position += size
+    return tuple(starts)
+
+
 def cycle_lengths(images: tuple[int, ...]) -> list[int]:
     """Cycle lengths of a permutation given as a 1-based image tuple,
     ordered by smallest element of each cycle."""
@@ -107,25 +129,34 @@ def count_cycles(images: tuple[int, ...], k: int) -> int:
     return sum(1 for size in cycle_lengths(images) if size == k)
 
 
-def fixed_point_stats(
-    perms: list[tuple[int, ...]],
-) -> tuple[Fraction, Fraction]:
+def count_stats(counts: Iterable[int]) -> tuple[Fraction, Fraction, Fraction]:
+    """Exact mean, variance, and second falling moment E[C(C-1)] of a
+    count C over equally likely objects, one count per object.
+
+    >>> count_stats([0, 1, 1, 2])
+    (Fraction(1, 1), Fraction(1, 2), Fraction(1, 2))
+    """
+    m = s1 = s2 = 0
+    for c in counts:
+        m += 1
+        s1 += c
+        s2 += c * c
+    mean = Fraction(s1, m)
+    second = Fraction(s2, m)
+    return mean, second - mean * mean, second - mean
+
+
+def fixed_point_stats(perms: Iterable[tuple[int, ...]]) -> tuple[Fraction, Fraction]:
     """Exact mean and variance of the fixed-point count over a family."""
-    counts = [sum(1 for i, v in enumerate(images, 1) if v == i) for images in perms]
-    m = len(counts)
-    mean = Fraction(sum(counts), m)
-    second = Fraction(sum(c * c for c in counts), m)
-    return mean, second - mean * mean
+    mean, variance, _ = count_stats(
+        sum(1 for i, v in enumerate(images, 1) if v == i) for images in perms
+    )
+    return mean, variance
 
 
 def cycle_count_stats(
-    perms: list[tuple[int, ...]], k: int
+    perms: Iterable[tuple[int, ...]], k: int
 ) -> tuple[Fraction, Fraction, Fraction]:
     """Exact mean, variance, and second falling moment E[C(C-1)] of the
     number of k-cycles over a family."""
-    counts = [count_cycles(images, k) for images in perms]
-    m = len(counts)
-    mean = Fraction(sum(counts), m)
-    second = Fraction(sum(c * c for c in counts), m)
-    falling = Fraction(sum(c * (c - 1) for c in counts), m)
-    return mean, second - mean * mean, falling
+    return count_stats(count_cycles(images, k) for images in perms)

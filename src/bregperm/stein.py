@@ -116,16 +116,12 @@ class DependenceReport:
 
     threshold is the least d such that every pair with |i-j| >= d is
     independent; witness is a dependent pair at distance threshold - 1.
-    The per-regime thresholds split pairs touching a boundary position
-    from interior-only pairs.
     """
 
     n: int
     k: int
     threshold: int
     witness: tuple[int, int]
-    interior_threshold: int
-    boundary_threshold: int
 
     @property
     def matches_at_least_k_plus_1(self) -> bool:
@@ -152,32 +148,15 @@ def dependence_threshold(n: int, k: int) -> DependenceReport:
         raise ValueError(f"need n >= 2k + 4 = {2 * k + 4} for a meaningful scan, got n={n}")
     top = n - k + 1
     law = indicator_law(n, k)
-    max_dep_all = 0
-    max_dep_interior = 0
-    max_dep_boundary = 0
+    max_dep = 0
     witness = (0, 0)
     for i in range(1, top + 1):
         for j in range(i + 1, top + 1):
             independent = joint_indicator_probability(n, k, i, j) == law.probability(i) * law.probability(j)
-            if independent:
-                continue
-            d = j - i
-            if d > max_dep_all:
-                max_dep_all = d
+            if not independent and j - i > max_dep:
+                max_dep = j - i
                 witness = (i, j)
-            touches_boundary = i == 1 or j == top
-            if touches_boundary:
-                max_dep_boundary = max(max_dep_boundary, d)
-            else:
-                max_dep_interior = max(max_dep_interior, d)
-    return DependenceReport(
-        n=n,
-        k=k,
-        threshold=max_dep_all + 1,
-        witness=witness,
-        interior_threshold=max_dep_interior + 1,
-        boundary_threshold=max_dep_boundary + 1,
-    )
+    return DependenceReport(n=n, k=k, threshold=max_dep + 1, witness=witness)
 
 
 def _centered_abs_third_moment(p: Fraction) -> Fraction:

@@ -3,7 +3,9 @@
 Each check re-derives a quantity along two or more unrelated pipelines
 (closed form, generating series, inclusion-exclusion permanent, exhaustive
 enumeration, vectorised sampling) and demands exact agreement wherever the
-arithmetic is rational.  Checks run at two levels:
+arithmetic is rational.  The brute-force side of every comparison comes from
+:mod:`bregperm.oracles`, the same reference the test suite uses.  Checks run
+at two levels:
 
 * ``quick``  -- exhaustive oracles up to n = 8; purely deterministic.
 * ``full``   -- oracles up to n = 12..14 (criterion-sized ranges), the
@@ -11,9 +13,9 @@ arithmetic is rational.  Checks run at two levels:
   approximation.
 
 ``run_checks`` returns one :class:`CheckResult` per suite; the CLI renders
-them and maps any failure to a nonzero exit code.  At the ``full`` level the
-run also asserts, via an explicit checklist, that every public operation of
-every module was exercised at least once.
+them and maps any failure to a nonzero exit code.  Each suite declares the
+public operations it exercises, and at the ``full`` level the run also
+asserts that those declarations cover every operation of every module.
 """
 
 from __future__ import annotations
@@ -23,13 +25,13 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable
 
-import numpy as np
-
+from . import oracles
 from .bijection import (
     composition_to_perm,
     enumerate_compositions,
@@ -45,7 +47,7 @@ from .bregular import (
     fixed_point_variance,
     sample_b_regular,
 )
-from .core import Composition, Permutation, RestrictionMatrix, RestrictionVector, cycle_type, matrix_from_vector
+from .core import Permutation, RestrictionMatrix, RestrictionVector, cycle_type, matrix_from_vector
 from .cycindex import (
     extract_factorial_moment,
     mean_formula_is_exact,
@@ -76,11 +78,8 @@ MEAN_SE_TOLERANCE = 3.0
 VARIANCE_REL_TOLERANCE = 0.05
 BOUND_MATCH_TOLERANCE = 1e-9
 SCALING_REL_TOLERANCE = 0.01
-CHI2_MIN_P = 0.001
 CLT_PUBLISHED_SEED = 42
 CLT_SAMPLE_COUNT = 100_000
-SAMPLER_SEEDS = (11, 17, 23)
-SAMPLER_DRAWS = 100_000
 
 #: Public operations per module; `verify full` must exercise all of them.
 OPS_CHECKLIST: dict[str, tuple[str, ...]] = {
@@ -170,36 +169,27 @@ _LEVELS = {
 }
 
 
-def _valid_vectors(n: int) -> Iterator[tuple[int, ...]]:
-    """All non-decreasing vectors with 1 <= b_i <= i (Catalan-many)."""
-
-    def rec(prefix: list[int]) -> Iterator[tuple[int, ...]]:
-        i = len(prefix) + 1
-        if i > n:
-            yield tuple(prefix)
-            return
-        for v in range(prefix[-1] if prefix else 1, i + 1):
-            prefix.append(v)
-            yield from rec(prefix)
-            prefix.pop()
-
-    yield from rec([])
-
-
 def _fail(message: str, *values: object) -> None:
     raise _Failure(message.format(*values))
+
+
+def _random_vector(rng: random.Random, top: int) -> RestrictionVector:
+    """A valid restriction vector of random size 1..top."""
+    entries: list[int] = []
+    for i in range(1, rng.randint(1, top) + 1):
+        entries.append(rng.randint(entries[-1] if entries else 1, i))
+    return RestrictionVector(tuple(entries))
 
 
 # ---------------------------------------------------------------------------
 # core
 
 
-def _check_core_matrix(r: _Ranges, cov: set[str]) -> tuple[str, int]:
-    cov.add("core.matrix_from_vector")
+def _check_core_matrix(r: _Ranges) -> tuple[str, int]:
     checked = 0
     vectors = 0
     for n in range(1, r.all_b + 1):
-        for entries in _valid_vectors(n):
+        for entries in oracles.valid_vectors(n):
             b = RestrictionVector(entries)
             m = matrix_from_vector(b)
             total = 0
@@ -216,8 +206,7 @@ def _check_core_matrix(r: _Ranges, cov: set[str]) -> tuple[str, int]:
     return f"row/total ones verified for all {vectors} valid vectors with n <= {r.all_b}", checked
 
 
-def _check_core_cycles(r: _Ranges, cov: set[str]) -> tuple[str, int]:
-    cov.add("core.cycle_type")
+def _check_core_cycles(r: _Ranges) -> tuple[str, int]:
     checked = 0
     rng = random.Random(0)
     perms: list[Permutation] = []
@@ -245,16 +234,10 @@ def _check_core_cycles(r: _Ranges, cov: set[str]) -> tuple[str, int]:
 # permanent
 
 
-def _random_01_matrix(rng: random.Random, n: int) -> RestrictionMatrix:
-    return RestrictionMatrix(tuple(tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(n)))
-
-
-def _check_permanent_oracle(r: _Ranges, cov: set[str]) -> tuple[str, int]:
-    cov.add("permanent.permanent_ryser")
-    cov.add("permanent.permanent_enumerate")
+def _check_permanent_oracle(r: _Ranges) -> tuple[str, int]:
     checked = 0
     for n in range(1, r.all_b + 1):
-        for entries in _valid_vectors(n):
+        for entries in oracles.valid_vectors(n):
             m = matrix_from_vector(RestrictionVector(entries))
             if permanent_ryser(m) != permanent_enumerate(m):
                 _fail("Ryser vs enumeration mismatch for b={}", entries)
@@ -264,18 +247,17 @@ def _check_permanent_oracle(r: _Ranges, cov: set[str]) -> tuple[str, int]:
     top = 8 if r.statistical else 6
     for _ in range(rounds):
         n = rng.randint(1, top)
-        m = _random_01_matrix(rng, n)
+        m = RestrictionMatrix([[rng.randint(0, 1) for _ in range(n)] for _ in range(n)])
         if permanent_ryser(m) != permanent_enumerate(m):
             _fail("Ryser vs enumeration mismatch for random matrix {}", m.rows)
         checked += 1
     return f"inclusion-exclusion equals direct sum on {checked} matrices", checked
 
 
-def _check_permanent_product(r: _Ranges, cov: set[str]) -> tuple[str, int]:
-    cov.add("bregular.count_b_regular")
+def _check_permanent_product(r: _Ranges) -> tuple[str, int]:
     checked = 0
     for n in range(1, 7):
-        for entries in _valid_vectors(n):
+        for entries in oracles.valid_vectors(n):
             b = RestrictionVector(entries)
             if permanent_ryser(matrix_from_vector(b)) != count_b_regular(b):
                 _fail("permanent disagrees with product formula for b={}", entries)
@@ -283,23 +265,18 @@ def _check_permanent_product(r: _Ranges, cov: set[str]) -> tuple[str, int]:
     if r.statistical:
         rng = random.Random(2)
         for _ in range(40):
-            n = rng.randint(1, 12)
-            entries = []
-            for i in range(1, n + 1):
-                entries.append(rng.randint(entries[-1] if entries else 1, i))
-            b = RestrictionVector(tuple(entries))
+            b = _random_vector(rng, 12)
             if permanent_ryser(matrix_from_vector(b)) != count_b_regular(b):
-                _fail("permanent disagrees with product formula for b={}", entries)
+                _fail("permanent disagrees with product formula for b={}", b.entries)
             checked += 1
     return f"permanent equals the one-line product on {checked} vectors", checked
 
 
-def _check_permanent_fixed_points(r: _Ranges, cov: set[str]) -> tuple[str, int]:
-    cov.add("permanent.count_with_fixed_points")
+def _check_permanent_fixed_points(r: _Ranges) -> tuple[str, int]:
     top = 7 if r.statistical else 5
     checked = 0
     for n in range(1, top + 1):
-        for entries in _valid_vectors(n):
+        for entries in oracles.valid_vectors(n):
             b = RestrictionVector(entries)
             m = matrix_from_vector(b)
             for i in range(1, n + 1):
@@ -316,12 +293,11 @@ def _check_permanent_fixed_points(r: _Ranges, cov: set[str]) -> tuple[str, int]:
     return f"single-fixed-point counts equal minor permanents (n <= {top})", checked
 
 
-def _check_permanent_reduction_order(r: _Ranges, cov: set[str]) -> tuple[str, int]:
-    cov.add("permanent.reduce_vector_on_fixed_point")
+def _check_permanent_reduction_order(r: _Ranges) -> tuple[str, int]:
     top = 7 if r.statistical else 5
     checked = 0
     for n in range(2, top + 1):
-        for entries in _valid_vectors(n):
+        for entries in oracles.valid_vectors(n):
             b = RestrictionVector(entries)
             for i, j in itertools.combinations(range(1, n + 1), 2):
                 ij = reduce_vector_on_fixed_point(reduce_vector_on_fixed_point(b, j), i)
@@ -336,12 +312,10 @@ def _check_permanent_reduction_order(r: _Ranges, cov: set[str]) -> tuple[str, in
 # bregular
 
 
-def _check_bregular_membership(r: _Ranges, cov: set[str]) -> tuple[str, int]:
-    cov.add("bregular.enumerate_b_regular")
-    cov.add("bregular.sample_b_regular")
+def _check_bregular_membership(r: _Ranges) -> tuple[str, int]:
     checked = 0
     for n in range(1, r.all_b + 1):
-        for entries in _valid_vectors(n):
+        for entries in oracles.valid_vectors(n):
             b = RestrictionVector(entries)
             seen = 0
             for p in enumerate_b_regular(b):
@@ -353,19 +327,14 @@ def _check_bregular_membership(r: _Ranges, cov: set[str]) -> tuple[str, int]:
             checked += seen + 1
     rng = random.Random(3)
     for trial in range(200):
-        n = rng.randint(1, 12)
-        entries = []
-        for i in range(1, n + 1):
-            entries.append(rng.randint(entries[-1] if entries else 1, i))
-        b = RestrictionVector(tuple(entries))
+        b = _random_vector(rng, 12)
         if not sample_b_regular(b, random.Random(trial)).satisfies(b):
-            _fail("sampled permutation violates b={}", entries)
+            _fail("sampled permutation violates b={}", b.entries)
         checked += 1
     return "every enumerated/sampled permutation satisfies its restriction", checked
 
 
-def _check_bregular_cycle_means(r: _Ranges, cov: set[str]) -> tuple[str, int]:
-    cov.add("bregular.count_k_cycles")
+def _check_bregular_cycle_means(r: _Ranges) -> tuple[str, int]:
     checked = 0
     edge_notes: list[str] = []
     for n in range(1, r.family + 1):
@@ -393,30 +362,17 @@ def _check_bregular_cycle_means(r: _Ranges, cov: set[str]) -> tuple[str, int]:
     ), checked
 
 
-def _enumerated_fixed_point_stats(b: RestrictionVector) -> tuple[Fraction, Fraction]:
-    total = s1 = s2 = 0
-    for p in enumerate_b_regular(b):
-        f = sum(1 for i in range(1, p.n + 1) if p.image(i) == i)
-        total += 1
-        s1 += f
-        s2 += f * f
-    mean = Fraction(s1, total)
-    return mean, Fraction(s2, total) - mean * mean
-
-
-def _check_bregular_fixed_point_moments(r: _Ranges, cov: set[str]) -> tuple[str, int]:
-    cov.add("bregular.fixed_point_mean")
-    cov.add("bregular.fixed_point_variance")
+def _check_bregular_fixed_point_moments(r: _Ranges) -> tuple[str, int]:
     checked = 0
     small = 7 if r.statistical else 5
     cases: list[RestrictionVector] = []
     for n in range(1, small + 1):
-        cases.extend(RestrictionVector(e) for e in _valid_vectors(n))
+        cases.extend(RestrictionVector(e) for e in oracles.valid_vectors(n))
     for n in range(1, r.family + 1):
         cases.append(RestrictionVector.b2(n))
         cases.append(RestrictionVector.br(3, n))
     for b in cases:
-        mean, var = _enumerated_fixed_point_stats(b)
+        mean, var = oracles.fixed_point_stats(p.images for p in enumerate_b_regular(b))
         if fixed_point_mean(b) != mean:
             _fail("fixed-point mean for b={}: reduction {} vs enumeration {}", b.entries, fixed_point_mean(b), mean)
         if fixed_point_variance(b) != var:
@@ -425,7 +381,7 @@ def _check_bregular_fixed_point_moments(r: _Ranges, cov: set[str]) -> tuple[str,
     return f"reduction-based moments equal enumeration on {len(cases)} vectors", checked
 
 
-def _check_bregular_cycle_shape(r: _Ranges, cov: set[str]) -> tuple[str, int]:
+def _check_bregular_cycle_shape(r: _Ranges) -> tuple[str, int]:
     checked = 0
     for n in range(1, r.family + 1):
         for p in enumerate_b_regular(RestrictionVector.b2(n)):
@@ -443,11 +399,7 @@ def _check_bregular_cycle_shape(r: _Ranges, cov: set[str]) -> tuple[str, int]:
 # bijection
 
 
-def _check_bijection_roundtrip(r: _Ranges, cov: set[str]) -> tuple[str, int]:
-    cov.add("bijection.perm_to_composition")
-    cov.add("bijection.composition_to_perm")
-    cov.add("bijection.enumerate_compositions")
-    cov.add("bijection.record_positions")
+def _check_bijection_roundtrip(r: _Ranges) -> tuple[str, int]:
     checked = 0
     for n in range(1, r.bijection + 1):
         images = set()
@@ -472,7 +424,7 @@ def _check_bijection_roundtrip(r: _Ranges, cov: set[str]) -> tuple[str, int]:
     return f"both round trips are identities, image is the whole family (n <= {r.bijection})", checked
 
 
-def _check_bijection_cycle_parts(r: _Ranges, cov: set[str]) -> tuple[str, int]:
+def _check_bijection_cycle_parts(r: _Ranges) -> tuple[str, int]:
     checked = 0
     top = min(r.bijection, 12)
     for n in range(1, top + 1):
@@ -485,17 +437,14 @@ def _check_bijection_cycle_parts(r: _Ranges, cov: set[str]) -> tuple[str, int]:
     return f"cycle sizes and part sizes coincide (n <= {top})", checked
 
 
-def _check_bijection_totals(r: _Ranges, cov: set[str]) -> tuple[str, int]:
-    cov.add("bijection.total_k_parts")
+def _check_bijection_totals(r: _Ranges) -> tuple[str, int]:
     checked = 0
     for n in range(1, r.bijection + 1):
-        sums = [0] * (n + 1)
-        for c in enumerate_compositions(n):
-            for k in range(1, n + 1):
-                sums[k] += c.count_parts(k)
+        comps = oracles.compositions(n)
         for k in range(1, n + 1):
-            if total_k_parts(n, k) != sums[k]:
-                _fail("total {}-parts over compositions of {}: formula {}, enumeration {}", k, n, total_k_parts(n, k), sums[k])
+            total = sum(oracles.count_parts(parts, k) for parts in comps)
+            if total_k_parts(n, k) != total:
+                _fail("total {}-parts over compositions of {}: formula {}, enumeration {}", k, n, total_k_parts(n, k), total)
             checked += 1
     for n in range(1, 15):
         for k in range(1, n + 1):
@@ -510,32 +459,14 @@ def _check_bijection_totals(r: _Ranges, cov: set[str]) -> tuple[str, int]:
 # cycindex
 
 
-def _composition_moment_oracle(n: int) -> list[tuple[Fraction, Fraction]]:
-    """Exact (mean, second falling moment) of k-part counts for k = 1..n."""
-    sums = [[0, 0] for _ in range(n + 1)]
-    total = 0
-    for c in enumerate_compositions(n):
-        total += 1
-        for k in range(1, n + 1):
-            ck = c.count_parts(k)
-            sums[k][0] += ck
-            sums[k][1] += ck * (ck - 1)
-    return [(Fraction(s[0], total), Fraction(s[1], total)) for s in sums]
-
-
-def _check_cycindex_pipelines(r: _Ranges, cov: set[str]) -> tuple[str, int]:
-    cov.add("cycindex.mean_k_cycles")
-    cov.add("cycindex.second_falling_moment")
-    cov.add("cycindex.variance_k_cycles")
-    cov.add("cycindex.extract_factorial_moment")
+def _check_cycindex_pipelines(r: _Ranges) -> tuple[str, int]:
     checked = 0
     off_validity = 0
     boundary_notes: list[str] = []
     for n in range(1, r.pipelines + 1):
-        oracle = _composition_moment_oracle(n)
+        comps = oracles.compositions(n)
         for k in range(1, n + 1):
-            mean_o, sf_o = oracle[k]
-            var_o = sf_o + mean_o - mean_o * mean_o
+            mean_o, var_o, sf_o = oracles.count_stats(oracles.count_parts(parts, k) for parts in comps)
             # (b) series extraction must match (c) enumeration everywhere.
             if extract_factorial_moment(n, k, 1) != mean_o:
                 _fail("series mean at (n={}, k={}) is {}, enumeration {}", n, k, extract_factorial_moment(n, k, 1), mean_o)
@@ -563,7 +494,7 @@ def _check_cycindex_pipelines(r: _Ranges, cov: set[str]) -> tuple[str, int]:
     ), checked
 
 
-def _check_cycindex_series(r: _Ranges, cov: set[str]) -> tuple[str, int]:
+def _check_cycindex_series(r: _Ranges) -> tuple[str, int]:
     checked = 0
     for n in range(1, r.series_order + 1):
         for k in range(1, n + 1):
@@ -584,24 +515,20 @@ def _check_cycindex_series(r: _Ranges, cov: set[str]) -> tuple[str, int]:
 # stein
 
 
-def _check_stein_mean_sum(r: _Ranges, cov: set[str]) -> tuple[str, int]:
-    cov.add("stein.indicator_probability")
+def _check_stein_mean_sum(r: _Ranges) -> tuple[str, int]:
     checked = 0
     for n in range(3, r.mean_sum + 1):
         for k in range(1, n - 1):
-            total = sum(indicator_probability(n, k, i) for i in range(1, n - k + 2))
-            if total != mean_k_cycles(n, k):
-                _fail("sum of indicator probabilities at (n={}, k={}) is {}, mean is {}", n, k, total, mean_k_cycles(n, k))
+            law = indicator_law(n, k)
+            total = sum(law.probabilities)
+            if len(law.probabilities) != n - k + 1 or total != mean_k_cycles(n, k):
+                _fail("indicator law at (n={}, k={}) has {} positions summing to {}, mean is {}",
+                      n, k, len(law.probabilities), total, mean_k_cycles(n, k))
             checked += 1
-    law = indicator_law(12, 2)
-    if sum(law.probabilities) != mean_k_cycles(12, 2) or len(law.probabilities) != 11:
-        _fail("indicator law at (12, 2) is inconsistent")
-    checked += 1
     return f"sum of position probabilities equals the mean for 1 <= k <= n-2, n <= {r.mean_sum}", checked
 
 
-def _check_stein_covariance(r: _Ranges, cov: set[str]) -> tuple[str, int]:
-    cov.add("stein.joint_indicator_probability")
+def _check_stein_covariance(r: _Ranges) -> tuple[str, int]:
     checked = 0
     for n in range(2, r.pair_scan + 1):
         for k in range(1, min(5, n) + 1):
@@ -619,42 +546,30 @@ def _check_stein_covariance(r: _Ranges, cov: set[str]) -> tuple[str, int]:
     return f"indicator covariance decomposition equals the series variance (n <= {r.pair_scan}, k <= 5)", checked
 
 
-def _all_composition_start_flags(n: int, k: int) -> np.ndarray:
-    """Boolean (2^(n-1), n-k+1) array: composition w has a k-part at position p+1."""
-    words = np.arange(1 << (n - 1), dtype=np.int64)
-    inner = (words[:, None] >> np.arange(n - 1, dtype=np.int64)) & 1
-    bits = np.ones((words.size, n + 1), dtype=np.int16)
-    bits[:, 1:n] = inner.astype(np.int16)
-    cum = np.cumsum(bits, axis=1)
-    left = bits[:, 0 : n - k + 1] == 1
-    right = bits[:, k : n + 1] == 1
-    if k == 1:
-        return left & right
-    return left & right & (cum[:, k - 1 : n] - cum[:, 0 : n - k + 1] == 0)
-
-
-def _check_stein_joint_oracle(r: _Ranges, cov: set[str]) -> tuple[str, int]:
+def _check_stein_joint_oracle(r: _Ranges) -> tuple[str, int]:
     checked = 0
     top = min(r.pipelines, 14)
     for n in range(2, top + 1):
-        denom = 1 << (n - 1)
+        comps = oracles.compositions(n)
+        hits: Counter[tuple[int, ...]] = Counter()  # keys (k, i) and (k, i, j)
+        for parts in comps:
+            for k in set(parts):
+                starts = oracles.part_starts(parts, k)
+                hits.update((k, i) for i in starts)
+                hits.update((k, i, j) for i, j in itertools.combinations(starts, 2))
         for k in range(1, n + 1):
-            flags = _all_composition_start_flags(n, k)
-            counts = flags.sum(axis=0)
-            pair_counts = flags.T.astype(np.int64) @ flags.astype(np.int64)
             for i in range(1, n - k + 2):
-                if Fraction(int(counts[i - 1]), denom) != indicator_probability(n, k, i):
+                if Fraction(hits[k, i], len(comps)) != indicator_probability(n, k, i):
                     _fail("marginal at (n={}, k={}, i={}) disagrees with enumeration", n, k, i)
                 checked += 1
             for i, j in itertools.combinations(range(1, n - k + 2), 2):
-                if Fraction(int(pair_counts[i - 1, j - 1]), denom) != joint_indicator_probability(n, k, i, j):
+                if Fraction(hits[k, i, j], len(comps)) != joint_indicator_probability(n, k, i, j):
                     _fail("joint at (n={}, k={}, i={}, j={}) disagrees with enumeration", n, k, i, j)
                 checked += 1
     return f"segment-splitting probabilities equal enumeration frequencies (n <= {top}, all k, i, j)", checked
 
 
-def _check_stein_independence(r: _Ranges, cov: set[str]) -> tuple[str, int]:
-    cov.add("stein.dependence_threshold")
+def _check_stein_independence(r: _Ranges) -> tuple[str, int]:
     checked = 0
     for n in range(4, r.pair_scan + 1):
         for k in range(1, min(5, n) + 1):
@@ -677,10 +592,7 @@ def _check_stein_independence(r: _Ranges, cov: set[str]) -> tuple[str, int]:
     return f"bulk pairs: dependent up to gap k, independent from gap k+2 (n <= {r.pair_scan}); threshold scan says k+1", checked
 
 
-def _check_stein_bound(r: _Ranges, cov: set[str]) -> tuple[str, int]:
-    cov.add("stein.shifted_moment_sums")
-    cov.add("stein.wasserstein_bound")
-    cov.add("stein.kolmogorov_from_wasserstein")
+def _check_stein_bound(r: _Ranges) -> tuple[str, int]:
     checked = 0
     a, b = shifted_moment_sums(10, 1)
     if (a, b) != (Fraction(19, 16), Fraction(25, 32)):
@@ -717,8 +629,7 @@ def _check_stein_bound(r: _Ranges, cov: set[str]) -> tuple[str, int]:
     return "anchors exact at (10, 1)", checked
 
 
-def _check_stein_clt(r: _Ranges, cov: set[str]) -> tuple[str, int]:
-    cov.add("stein.clt_empirical_test")
+def _check_stein_clt(r: _Ranges) -> tuple[str, int]:
     if not r.statistical:
         rep = clt_empirical_test(64, 1, 2000, CLT_PUBLISHED_SEED)
         if not (0 <= rep.ks_stat <= 1) or sum(c for _, _, c in rep.histogram) != rep.samples:
@@ -742,7 +653,7 @@ def _check_stein_clt(r: _Ranges, cov: set[str]) -> tuple[str, int]:
     ), checked
 
 
-def _check_independence_probe(r: _Ranges, cov: set[str]) -> tuple[str, int]:
+def _check_independence_probe(r: _Ranges) -> tuple[str, int]:
     n = 7 if r.statistical else 6
     report = independence_probe(n, 3)
     checked = 0
@@ -771,27 +682,23 @@ def _run_cli(argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def _check_cli_smoke(r: _Ranges, cov: set[str]) -> tuple[str, int]:
+def _check_cli_smoke(r: _Ranges) -> tuple[str, int]:
     checked = 0
     code, out = _run_cli(["count", "b2:20"])
     if code != 0 or "524288" not in out:
         _fail("count b2:20 returned {} with output {!r}", code, out)
-    cov.add("cli.cmd_count")
     checked += 1
     code, out = _run_cli(["moments", "--n", "10", "--k", "1:3"])
     if code != 0 or "10,1,3,1," not in out:
         _fail("moments table missing the (10, 1) row: {!r}", out)
-    cov.add("cli.cmd_moments")
     checked += 1
     code, out = _run_cli(["bound", "--n", "10", "--k", "1"])
     if code != 0 or "2.97751" not in out:
         _fail("bound 10 1 returned {} with output {!r}", code, out)
-    cov.add("cli.cmd_bound")
     checked += 1
     code, out = _run_cli(["clt", "--n", "200", "--k", "1", "--samples", "4000", "--seed", "7"])
     if code != 0 or "ks_stat" not in out:
         _fail("clt run returned {} with output {!r}", code, out)
-    cov.add("cli.cmd_clt")
     checked += 1
     code, out = _run_cli(["sample", "b2:8", "--samples", "3", "--seed", "5"])
     if code != 0:
@@ -804,14 +711,12 @@ def _check_cli_smoke(r: _Ranges, cov: set[str]) -> tuple[str, int]:
         if not Permutation(tuple(int(v) for v in line.split(","))).satisfies(b8):
             _fail("sampled permutation {} violates the staircase", line)
         checked += 1
-    cov.add("cli.cmd_sample")
     code, out = _run_cli(["compose", "to-comp", "5,1,2,3,4"])
     if code != 0 or out.splitlines()[-1].strip() != "5":
         _fail("compose to-comp returned {} with output {!r}", code, out)
     code, out = _run_cli(["compose", "to-perm", "1,3,1,5"])
     if code != 0 or out.splitlines()[-1].strip() != "1,4,2,3,5,10,6,7,8,9":
         _fail("compose to-perm returned {} with output {!r}", code, out)
-    cov.add("cli.cmd_compose")
     checked += 2
     return "count/moments/bound/clt/sample/compose round-trip through the CLI", checked
 
@@ -819,57 +724,61 @@ def _check_cli_smoke(r: _Ranges, cov: set[str]) -> tuple[str, int]:
 # ---------------------------------------------------------------------------
 # driver
 
-_CHECKS: tuple[tuple[str, Callable[[_Ranges, set[str]], tuple[str, int]]], ...] = (
-    ("core: restriction matrices", _check_core_matrix),
-    ("core: cycle decompositions", _check_core_cycles),
-    ("permanent: two algorithms agree", _check_permanent_oracle),
-    ("permanent: product formula", _check_permanent_product),
-    ("permanent: fixed-point minors", _check_permanent_fixed_points),
-    ("permanent: reduction order", _check_permanent_reduction_order),
-    ("bregular: membership and counts", _check_bregular_membership),
-    ("bregular: cycle-count means", _check_bregular_cycle_means),
-    ("bregular: fixed-point moments", _check_bregular_fixed_point_moments),
-    ("bregular: cycle shape law", _check_bregular_cycle_shape),
-    ("bijection: round trips", _check_bijection_roundtrip),
-    ("bijection: cycles vs parts", _check_bijection_cycle_parts),
-    ("bijection: part totals", _check_bijection_totals),
-    ("cycindex: three pipelines", _check_cycindex_pipelines),
-    ("cycindex: series health", _check_cycindex_series),
-    ("stein: mean decomposition", _check_stein_mean_sum),
-    ("stein: covariance decomposition", _check_stein_covariance),
-    ("stein: joint oracle", _check_stein_joint_oracle),
-    ("stein: independence ranges", _check_stein_independence),
-    ("stein: bound anchors", _check_stein_bound),
-    ("stein: sampled normal approximation", _check_stein_clt),
-    ("stein: wider-staircase probe", _check_independence_probe),
+# name, suite, and the public operations (module.op) the suite exercises
+_CHECKS: tuple[tuple[str, Callable[[_Ranges], tuple[str, int]], tuple[str, ...]], ...] = (
+    ("core: restriction matrices", _check_core_matrix, ("core.matrix_from_vector",)),
+    ("core: cycle decompositions", _check_core_cycles, ("core.cycle_type",)),
+    ("permanent: two algorithms agree", _check_permanent_oracle,
+     ("permanent.permanent_ryser", "permanent.permanent_enumerate")),
+    ("permanent: product formula", _check_permanent_product, ("bregular.count_b_regular",)),
+    ("permanent: fixed-point minors", _check_permanent_fixed_points, ("permanent.count_with_fixed_points",)),
+    ("permanent: reduction order", _check_permanent_reduction_order, ("permanent.reduce_vector_on_fixed_point",)),
+    ("bregular: membership and counts", _check_bregular_membership,
+     ("bregular.enumerate_b_regular", "bregular.sample_b_regular")),
+    ("bregular: cycle-count means", _check_bregular_cycle_means, ("bregular.count_k_cycles",)),
+    ("bregular: fixed-point moments", _check_bregular_fixed_point_moments,
+     ("bregular.fixed_point_mean", "bregular.fixed_point_variance")),
+    ("bregular: cycle shape law", _check_bregular_cycle_shape, ()),
+    ("bijection: round trips", _check_bijection_roundtrip,
+     ("bijection.perm_to_composition", "bijection.composition_to_perm",
+      "bijection.enumerate_compositions", "bijection.record_positions")),
+    ("bijection: cycles vs parts", _check_bijection_cycle_parts, ()),
+    ("bijection: part totals", _check_bijection_totals, ("bijection.total_k_parts",)),
+    ("cycindex: three pipelines", _check_cycindex_pipelines,
+     ("cycindex.mean_k_cycles", "cycindex.second_falling_moment",
+      "cycindex.variance_k_cycles", "cycindex.extract_factorial_moment")),
+    ("cycindex: series health", _check_cycindex_series, ()),
+    ("stein: mean decomposition", _check_stein_mean_sum, ("stein.indicator_probability",)),
+    ("stein: covariance decomposition", _check_stein_covariance, ("stein.joint_indicator_probability",)),
+    ("stein: joint oracle", _check_stein_joint_oracle, ()),
+    ("stein: independence ranges", _check_stein_independence, ("stein.dependence_threshold",)),
+    ("stein: bound anchors", _check_stein_bound,
+     ("stein.shifted_moment_sums", "stein.wasserstein_bound", "stein.kolmogorov_from_wasserstein")),
+    ("stein: sampled normal approximation", _check_stein_clt, ("stein.clt_empirical_test",)),
+    ("stein: wider-staircase probe", _check_independence_probe, ()),
+    ("cli: subcommand smoke", _check_cli_smoke,
+     ("cli.cmd_count", "cli.cmd_moments", "cli.cmd_bound", "cli.cmd_clt", "cli.cmd_sample", "cli.cmd_compose")),
 )
 
 
-def run_checks(level: str, include_cli: bool = False) -> list[CheckResult]:
+def run_checks(level: str) -> list[CheckResult]:
     """Run every verification suite at `level` ("quick" or "full")."""
     if level not in _LEVELS:
         raise ValueError(f"unknown verification level {level!r}; choose from {sorted(_LEVELS)}")
     ranges = _LEVELS[level]
-    coverage: set[str] = set()
     results: list[CheckResult] = []
-    checks = _CHECKS + (("cli: subcommand smoke", _check_cli_smoke),) if include_cli else _CHECKS
-    for name, fn in checks:
+    exercised = {"cli.cmd_verify"}  # this run is itself the exercise
+    for name, fn, ops in _CHECKS:
         start = time.perf_counter()
         try:
-            detail, assertions = fn(ranges, coverage)
+            detail, assertions = fn(ranges)
             results.append(CheckResult(name, True, detail, assertions, time.perf_counter() - start))
+            exercised.update(ops)
         except _Failure as failure:
             results.append(CheckResult(name, False, str(failure), 0, time.perf_counter() - start))
-    if include_cli:
-        coverage.add("cli.cmd_verify")  # this run is itself the exercise
     if level == "full":
-        wanted = {
-            f"{module}.{op}"
-            for module, ops in OPS_CHECKLIST.items()
-            for op in ops
-            if include_cli or module != "cli"
-        }
-        missing = sorted(wanted - coverage)
+        wanted = {f"{module}.{op}" for module, ops in OPS_CHECKLIST.items() for op in ops}
+        missing = sorted(wanted - exercised)
         results.append(CheckResult(
             "coverage: operation checklist",
             not missing,

@@ -16,7 +16,7 @@ from itertools import accumulate
 import pytest
 from scipy import stats
 
-import oracles
+from bregperm import oracles
 from bregperm.bijection import (
     composition_to_perm,
     enumerate_compositions,

@@ -10,8 +10,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-import oracles
 import strategies
+from bregperm import oracles
 from bregperm.bregular import (
     count_b_regular,
     count_k_cycles,

@@ -297,6 +297,23 @@ class TestVerifyCommand:
 
 
 class TestTopLevel:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bound", "--n", "3", "--k", "2"),
+            ("bound", "--n", "10", "--k", "0"),
+            ("count", "--n", "0"),
+            ("count", "--n", "3", "--r", "0"),
+            ("sample", "--n", "0"),
+            ("moments", "--n", "0"),
+        ],
+    )
+    def test_out_of_range_sizes_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
     def test_no_command_is_usage_error(self, capsys):
         code, _, err = run(capsys)
         assert code == 1

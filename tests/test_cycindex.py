@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import oracles
+from bregperm import oracles
 from bregperm.cycindex import (
     _scaled_row,
     extract_factorial_moment,

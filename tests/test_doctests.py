@@ -11,6 +11,7 @@ import bregperm.bregular
 import bregperm.cli
 import bregperm.core
 import bregperm.cycindex
+import bregperm.oracles
 import bregperm.permanent
 import bregperm.stein
 import bregperm.verify
@@ -21,6 +22,7 @@ MODULES = (
     bregperm.bregular,
     bregperm.bijection,
     bregperm.cycindex,
+    bregperm.oracles,
     bregperm.stein,
     bregperm.cli,
     bregperm.verify,

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import oracles
 import strategies
+from bregperm import oracles
 from bregperm.core import CapExceeded, RestrictionMatrix, RestrictionVector, matrix_from_vector
 from bregperm.permanent import (
     ENUMERATE_DEFAULT_CAP,

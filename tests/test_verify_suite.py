@@ -1,6 +1,6 @@
-"""The self-contained cross-verification suite: structure of its results
-and a full-level run requiring every check to pass and every public
-operation to be exercised."""
+"""The self-contained cross-verification suite: structure of its results,
+the pinned check set, and a full-level run requiring every check to pass
+and every public operation to be exercised."""
 
 from __future__ import annotations
 
@@ -8,25 +8,59 @@ import pytest
 
 from bregperm.verify import CheckResult, OPS_CHECKLIST, format_results, run_checks
 
+# The benchmark's per-check metrics and the `verify quick` output digest key
+# on these names; a check may move between suites but must not disappear.
+CHECK_NAMES = [
+    "core: restriction matrices",
+    "core: cycle decompositions",
+    "permanent: two algorithms agree",
+    "permanent: product formula",
+    "permanent: fixed-point minors",
+    "permanent: reduction order",
+    "bregular: membership and counts",
+    "bregular: cycle-count means",
+    "bregular: fixed-point moments",
+    "bregular: cycle shape law",
+    "bijection: round trips",
+    "bijection: cycles vs parts",
+    "bijection: part totals",
+    "cycindex: three pipelines",
+    "cycindex: series health",
+    "stein: mean decomposition",
+    "stein: covariance decomposition",
+    "stein: joint oracle",
+    "stein: independence ranges",
+    "stein: bound anchors",
+    "stein: sampled normal approximation",
+    "stein: wider-staircase probe",
+    "cli: subcommand smoke",
+]
+
+
+@pytest.fixture(scope="module")
+def quick() -> list[CheckResult]:
+    return run_checks("quick")
+
 
 class TestStructure:
-    def test_quick_level(self):
-        results = run_checks("quick")
-        assert all(isinstance(r, CheckResult) for r in results)
-        assert all(r.passed for r in results), format_results(results)
-        assert all(r.elapsed >= 0 for r in results)
-        assert sum(r.assertions for r in results) > 1000
+    def test_quick_level(self, quick):
+        assert all(isinstance(r, CheckResult) for r in quick)
+        assert all(r.passed for r in quick), format_results(quick)
+        assert all(r.elapsed >= 0 for r in quick)
+        assert sum(r.assertions for r in quick) > 1000
+
+    def test_check_names_are_pinned(self, quick):
+        assert [r.name for r in quick] == CHECK_NAMES
 
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError):
             run_checks("exhaustive")
 
-    def test_format_lines(self):
-        results = run_checks("quick")
-        text = format_results(results)
+    def test_format_lines(self, quick):
+        text = format_results(quick)
         lines = text.splitlines()
         status = [ln for ln in lines[:-1] if not ln.startswith(" ")]
-        assert len(status) == len(results)
+        assert len(status) == len(quick)
         assert all(line.startswith(("PASS", "FAIL")) for line in status)
         assert lines[-1].startswith("checks:")
         assert "0 failures" in lines[-1]
@@ -44,9 +78,7 @@ class TestStructure:
 
 class TestFullLevel:
     def test_everything_passes_with_cli_coverage(self):
-        results = run_checks("full", include_cli=True)
+        results = run_checks("full")
+        assert [r.name for r in results] == CHECK_NAMES + ["coverage: operation checklist"]
         failures = [r for r in results if not r.passed]
         assert not failures, format_results(results)
-        coverage = [r for r in results if r.name.startswith("coverage")]
-        assert len(coverage) == 1
-        assert coverage[0].passed
