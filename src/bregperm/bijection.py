@@ -48,23 +48,28 @@ def record_positions(p: Permutation) -> RecordProfile:
     return RecordProfile(tuple(positions), tuple(values))
 
 
-def _check_one_subdiagonal(p: Permutation) -> None:
-    for i, v in enumerate(p.images, start=1):
-        if v < i - 1:
-            raise ValueError(f"pi({i}) = {v} < {i - 1}; permutation is not one-subdiagonal")
-
-
 def perm_to_composition(p: Permutation) -> Composition:
     """Composition of gaps between record positions (last part runs to n).
+
+    One pass over the images both checks pi(i) >= i - 1 and finds the
+    records.
 
     >>> perm_to_composition(Permutation((1, 4, 2, 3, 5, 10, 6, 7, 8, 9))).parts
     (1, 3, 1, 5)
     """
-    _check_one_subdiagonal(p)
-    pos = record_positions(p).positions
-    n = p.n
-    parts = tuple(pos[t + 1] - pos[t] for t in range(len(pos) - 1)) + (n + 1 - pos[-1],)
-    return Composition(parts)
+    parts: list[int] = []
+    best = 0
+    last = 1  # position of the latest record
+    for i, v in enumerate(p.images, start=1):
+        if v < i - 1:
+            raise ValueError(f"pi({i}) = {v} < {i - 1}; permutation is not one-subdiagonal")
+        if v > best:
+            if i > 1:
+                parts.append(i - last)
+            best = v
+            last = i
+    parts.append(len(p.images) + 1 - last)
+    return Composition(tuple(parts))
 
 
 def composition_to_perm(c: Composition) -> Permutation:

@@ -37,7 +37,8 @@ def enumerate_b_regular(b: RestrictionVector, cap: int = ENUMERATE_DEFAULT_CAP) 
 
     Positions are filled from n down to 1; at each position the candidate
     values are tried in increasing order, which fixes a deterministic
-    output order.  Cost is linear in the output size.
+    output order.  Cost is linear in the output size.  The size and the cap
+    are checked at the call, before the first member is produced.
     """
     n = b.n
     if n < 1:
@@ -45,22 +46,39 @@ def enumerate_b_regular(b: RestrictionVector, cap: int = ENUMERATE_DEFAULT_CAP) 
     total = count_b_regular(b)
     if total > cap:
         raise CapExceeded("enumerate_b_regular output size", total, cap)
+    return _members(b.entries)
+
+
+def _members(b: tuple[int, ...]) -> Iterator[Permutation]:
+    """Backtracking walk with one candidate index per position, no recursion.
+
+    Every value picked at a position j >= i is at least b_j >= b_i, so the
+    b_i - 1 values below b_i are still free when position i is filled: its
+    candidates are always available[b_i - 1 :], and available holds i values.
+    """
+    n = len(b)
     images = [0] * n
     available = list(range(1, n + 1))  # kept sorted
-
-    def fill(i: int) -> Iterator[Permutation]:
-        if i == 0:
-            yield Permutation(tuple(images))
-            return
-        lo = bisect_left(available, b[i])
-        # iterate over a snapshot; the list mutates across recursive calls
-        for idx in range(lo, len(available)):
-            v = available.pop(idx)
-            images[i - 1] = v
-            yield from fill(i - 1)
-            available.insert(idx, v)
-
-    return fill(n)
+    index = [0] * n  # candidate index in `available` per 0-based position
+    pos = n - 1
+    while True:
+        while pos >= 0:  # fill the remaining positions with their first candidates
+            index[pos] = b[pos] - 1
+            images[pos] = available.pop(b[pos] - 1)
+            pos -= 1
+        yield Permutation(tuple(images))
+        pos = 0
+        while True:  # put values back until some position has a next candidate
+            k = index[pos]
+            available.insert(k, images[pos])
+            if k < pos:  # positions 0..pos own the pos + 1 available values
+                index[pos] = k + 1
+                images[pos] = available.pop(k + 1)
+                pos -= 1
+                break
+            pos += 1
+            if pos == n:
+                return
 
 
 def sample_b_regular(b: RestrictionVector, rng: random.Random | int) -> Permutation:

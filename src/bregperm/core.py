@@ -10,7 +10,6 @@ threads.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -181,18 +180,19 @@ class Permutation:
         >>> Permutation((2, 1, 3)).cycles()
         ((1, 2), (3,))
         """
-        seen = [False] * (self.n + 1)
+        images = self.images
+        seen = [False] * (len(images) + 1)
         out: list[tuple[int, ...]] = []
-        for start in range(1, self.n + 1):
+        for start in range(1, len(images) + 1):
             if seen[start]:
                 continue
             orbit = [start]
             seen[start] = True
-            nxt = self.image(start)
+            nxt = images[start - 1]
             while nxt != start:
                 orbit.append(nxt)
                 seen[nxt] = True
-                nxt = self.image(nxt)
+                nxt = images[nxt - 1]
             out.append(tuple(orbit))
         return tuple(out)
 
@@ -236,8 +236,21 @@ def cycle_type(p: Permutation) -> CycleType:
     >>> cycle_type(Permutation((2, 1, 3))).counts
     ((1, 1), (2, 1))
     """
-    lengths = Counter(len(c) for c in p.cycles())
-    return CycleType(tuple(sorted(lengths.items())))
+    images = p.images
+    n = len(images)
+    seen = [False] * (n + 1)
+    counts = [0] * (n + 1)  # counts[k] = number of k-cycles
+    for start in range(1, n + 1):
+        if seen[start]:
+            continue
+        length = 0
+        nxt = start
+        while not seen[nxt]:
+            seen[nxt] = True
+            length += 1
+            nxt = images[nxt - 1]
+        counts[length] += 1
+    return CycleType(tuple((k, m) for k, m in enumerate(counts) if m))
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,15 @@
 """Exact permanents of 0/1 matrices and fixed-point reduction of restriction vectors.
 
 The permanent of the restriction matrix of b counts S_b, so these routines
-double as counting oracles.  All arithmetic is exact (Python integers).
+double as counting oracles.  Every result is exact: Python integers, or in
+the Ryser kernel residues joined by the Chinese remainder theorem.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import islice, permutations
+from typing import Iterator
 
 import numpy as np
 
@@ -17,46 +19,84 @@ RYSER_DEFAULT_CAP = 30
 ENUMERATE_DEFAULT_CAP = 10
 
 _CHUNK = 200_000
+_LOW_COLUMNS = 12  # columns in the row-sum table; it holds 2^12 subsets
 
 
 def permanent_ryser(m: RestrictionMatrix, cap: int = RYSER_DEFAULT_CAP) -> int:
-    """Permanent via inclusion-exclusion over column subsets, O(n * 2^n).
+    """Permanent via Ryser's inclusion-exclusion over column subsets, O(n * 2^n).
 
-    Subsets are visited in Gray-code order so each step updates the row sums
-    by a single column, keeping the per-step work linear in n.
+    perm(M) = sum over column sets S of (-1)^(n-|S|) prod_i (row sum i over S).
+    A table holds the row sums of every subset of the low columns (at most
+    12), split by the parity of the subset.  The high-column subsets are
+    walked in Gray-code order, one column added or removed per step, and at
+    each step the products over rows are taken across the whole table at
+    once in wrapping uint64 arithmetic, which is exact modulo 2^64.  When
+    the permanent could reach 2^64 (the bound is the smaller of the product
+    of the row sums and n!) the walk is repeated modulo odd primes below
+    2^31 and the residues are joined by the Chinese remainder theorem.
     """
     n = m.n
     if n > cap:
         raise CapExceeded("permanent_ryser matrix dimension", n, cap)
-    # rows containing a 1 in each column, precomputed once
-    col_rows: list[list[int]] = [[i for i in range(n) if m.rows[i][j]] for j in range(n)]
-    rowsums = [0] * n
-    zeros = n
+    a = np.array(m.rows, dtype=np.uint64)
+    bound = min(math.prod(sum(row) for row in m.rows), math.factorial(n))
+    # low-column row sums, even-size subsets first: shape (n, 2^low)
+    low = min(n, _LOW_COLUMNS)
+    even, odd = np.zeros((n, 1), dtype=np.uint64), np.zeros((n, 0), dtype=np.uint64)
+    for j in range(low):
+        col = a[:, j : j + 1]
+        even, odd = np.concatenate((even, odd + col), axis=1), np.concatenate((odd, even + col), axis=1)
+    table = np.concatenate((even, odd), axis=1)
+    value = _ryser_walk(a, table, low, None)
+    modulus = 1 << 64
+    primes = _primes_below_2_31()
+    while modulus <= bound:
+        p = next(primes)
+        residue = _ryser_walk(a, table, low, p)
+        value += modulus * ((residue - value) * pow(modulus, -1, p) % p)
+        modulus *= p
+    return value
+
+
+def _ryser_walk(a: np.ndarray, table: np.ndarray, low: int, p: int | None) -> int:
+    """Ryser's sum modulo p, or modulo 2^64 when p is None, as an int in [0, modulus)."""
+    n = a.shape[0]
+    half = table.shape[1] // 2
+    sums = np.empty_like(table)
+    prods = np.empty(table.shape[1], dtype=np.uint64)
+    high = np.zeros((n, 1), dtype=np.uint64)  # row sums of the current high subset
+    members = 0
+    state = 0
     total = 0
-    members = 0  # current subset size
-    state = 0  # current Gray code word
-    prod = math.prod
-    for s in range(1, 1 << n):
-        flip = (s & -s).bit_length() - 1  # bit that changes between consecutive Gray words
-        bit = 1 << flip
-        if state & bit:
-            state ^= bit
-            members -= 1
-            for i in col_rows[flip]:
-                rowsums[i] -= 1
-                if rowsums[i] == 0:
-                    zeros += 1
+    for s in range(1 << (n - low)):
+        if s:
+            flip = (s & -s).bit_length() - 1  # bit that changes between consecutive Gray words
+            col = a[:, low + flip : low + flip + 1]
+            state ^= 1 << flip
+            if state >> flip & 1:
+                high += col
+                members += 1
+            else:
+                high -= col
+                members -= 1
+        np.add(table, high, out=sums)
+        if p is None:
+            np.multiply.reduce(sums, axis=0, out=prods)
         else:
-            state ^= bit
-            members += 1
-            for i in col_rows[flip]:
-                if rowsums[i] == 0:
-                    zeros -= 1
-                rowsums[i] += 1
-        if zeros == 0:
-            term = prod(rowsums)
-            total += term if (n - members) % 2 == 0 else -term
-    return total
+            np.copyto(prods, sums[0])
+            for row in sums[1:]:
+                prods *= row
+                prods %= p
+        term = int(prods[:half].sum()) - int(prods[half:].sum())
+        total += term if (n - members) % 2 == 0 else -term
+    return total % (1 << 64 if p is None else p)
+
+
+def _primes_below_2_31() -> Iterator[int]:
+    """Odd primes below 2^31, largest first, by trial division."""
+    for c in range((1 << 31) - 1, 2, -2):
+        if all(c % d for d in range(3, math.isqrt(c) + 1, 2)):
+            yield c
 
 
 def _permutation_block(start_iter, size: int) -> np.ndarray | None:

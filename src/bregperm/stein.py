@@ -107,7 +107,17 @@ class IndicatorLaw:
 
 
 def indicator_law(n: int, k: int) -> IndicatorLaw:
-    return IndicatorLaw(n, k, tuple(indicator_probability(n, k, i) for i in range(1, n - k + 2)))
+    """The law at every start position; only the two ends differ from the interior.
+
+    >>> indicator_law(5, 2).probabilities
+    (Fraction(1, 4), Fraction(1, 8), Fraction(1, 8), Fraction(1, 4))
+    """
+    last = n - k + 1
+    first = indicator_probability(n, k, 1)
+    if last == 1:
+        return IndicatorLaw(n, k, (first,))
+    inner = indicator_probability(n, k, 2) if last > 2 else first
+    return IndicatorLaw(n, k, (first,) + (inner,) * (last - 2) + (indicator_probability(n, k, last),))
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,12 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_b_regular(RestrictionVector(()))
 
+    def test_one_member_family_at_n_3000(self):
+        # a recursive walk would need one Python frame per position here
+        n = 3000
+        members = list(enumerate_b_regular(RestrictionVector(tuple(range(1, n + 1)))))
+        assert [p.images for p in members] == [tuple(range(1, n + 1))]
+
     @given(strategies.restriction_vectors(max_n=7))
     @settings(deadline=None, max_examples=40)
     def test_members_satisfy_bounds(self, b):

@@ -4,6 +4,7 @@ fixed-point reduction calculus on restriction vectors."""
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import strategies
 from bregperm import oracles
+from bregperm.bregular import count_b_regular
 from bregperm.core import CapExceeded, RestrictionMatrix, RestrictionVector, matrix_from_vector
 from bregperm.permanent import (
     ENUMERATE_DEFAULT_CAP,
@@ -24,7 +26,7 @@ from bregperm.permanent import (
 
 class TestPermanentRyser:
     def test_identity_and_all_ones(self):
-        for n in range(1, 8):
+        for n in (*range(1, 8), 16, 17):
             eye = RestrictionMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
             ones = RestrictionMatrix(tuple(tuple(1 for _ in range(n)) for _ in range(n)))
             assert permanent_ryser(eye) == 1
@@ -49,7 +51,26 @@ class TestPermanentRyser:
         assert permanent_ryser(m, cap=12) == 2048
         assert RYSER_DEFAULT_CAP == 30
 
-    @given(strategies.zero_one_matrices(max_n=6))
+    def test_residues_join_past_two_to_the_64(self):
+        # 21! > 2^64 and the row-sum products are larger still, so both
+        # values need a prime residue on top of the one modulo 2^64
+        n = 21
+        ones = RestrictionMatrix(tuple((1,) * n for _ in range(n)))
+        assert math.factorial(n) > 1 << 64
+        assert permanent_ryser(ones) == math.factorial(n)
+        assert permanent_ryser(matrix_from_vector(RestrictionVector.b2(n))) == 2 ** (n - 1)
+
+    def test_high_columns_match_product_formula(self):
+        # n > 12 splits the columns into the row-sum table and the Gray walk
+        rng = random.Random(5)
+        for n in (13, 14, 15, 16, 17, 18, 19, 20):
+            entries: list[int] = []
+            for i in range(1, n + 1):
+                entries.append(rng.randint(entries[-1] if entries else 1, i))
+            b = RestrictionVector(tuple(entries))
+            assert permanent_ryser(matrix_from_vector(b)) == count_b_regular(b)
+
+    @given(strategies.zero_one_matrices(max_n=8))
     @settings(deadline=None, max_examples=60)
     def test_matches_brute_force(self, rows):
         m = RestrictionMatrix(rows)

@@ -47,6 +47,14 @@ class TestIndicatorProbability:
         with pytest.raises(ValueError):
             law.probability(9)
 
+    def test_law_equals_the_probability_at_each_position(self):
+        for n in range(1, 13):
+            for k in range(1, n + 1):
+                expected = tuple(indicator_probability(n, k, i) for i in range(1, n - k + 2))
+                assert indicator_law(n, k).probabilities == expected
+        with pytest.raises(ValueError, match="no k-cycle fits"):
+            indicator_law(3, 4)
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             indicator_probability(3, 0, 1)
