@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterator
 
@@ -94,14 +93,11 @@ def sample_b_regular(b: RestrictionVector, rng: random.Random | int) -> Permutat
     n = b.n
     if n < 1:
         raise ValueError("sampling needs n >= 1")
-    available = list(range(1, n + 1))
+    available = list(range(1, n + 1))  # kept sorted
     images = [0] * n
     for i in range(n, 0, -1):
-        lo = bisect_left(available, b[i])
-        width = len(available) - lo
-        if width <= 0:
-            raise RuntimeError(f"no available value >= b_{i}={b[i]}; vector invariant violated")
-        images[i - 1] = available.pop(lo + rng.randrange(width))
+        lo = b[i] - 1  # candidates are available[lo:], i - b_i + 1 of them (see _members)
+        images[i - 1] = available.pop(lo + rng.randrange(i - lo))
     return Permutation(tuple(images))
 
 

@@ -32,7 +32,7 @@ from .cycindex import (
 )
 from .permanent import ENUMERATE_DEFAULT_CAP, RYSER_DEFAULT_CAP, permanent_enumerate, permanent_ryser
 from .stein import CLT_STREAM_VERSION, clt_empirical_test, stein_bound_report
-from .verify import CLT_PUBLISHED_SEED, format_results, run_checks
+from .verify import CLT_PUBLISHED_SEED, LEVELS, format_results, run_checks
 
 
 class _UsageError(Exception):
@@ -111,6 +111,15 @@ def _write_csv(stream: TextIO, header: Sequence[str], rows: Iterable[Sequence[ob
     writer.writerows(rows)
 
 
+def _write_csv_file(path: str, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    try:
+        fh = open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise _UsageError(f"cannot write --out {path!r}: {exc.strerror}") from exc
+    with fh:
+        _write_csv(fh, header, rows)
+
+
 def _resolve_b(args: argparse.Namespace) -> RestrictionVector:
     if args.b_spec is not None:
         return parse_b_spec(args.b_spec)
@@ -167,8 +176,7 @@ def _cmd_moments(args: argparse.Namespace, argv: Sequence[str]) -> int:
         for _, k, mn, md, vn, vd, sn, sd in rows:
             print(f"n={args.n} k={k} mean={mn}/{md} variance={vn}/{vd} second_falling={sn}/{sd}")
     elif args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            _write_csv(fh, header, rows)
+        _write_csv_file(args.out, header, rows)
         _emit_meta(sys.stdout, "moments", argv)
         print(f"out={args.out}")
         print(f"rows={len(rows)}")
@@ -202,6 +210,10 @@ def _cmd_clt(args: argparse.Namespace, argv: Sequence[str]) -> int:
     if args.seed < 0:
         raise _UsageError(f"need --seed >= 0, got {args.seed}")
     report = clt_empirical_test(args.n, args.k, args.samples, args.seed)
+    header = ("z_lo", "z_hi", "count")
+    hist_rows = [(f"{lo:.6g}", f"{hi:.6g}", count) for lo, hi, count in report.histogram]
+    if args.out:  # before any output, so an unwritable path prints only the usage error
+        _write_csv_file(args.out, header, hist_rows)
     meta_stream = sys.stderr if args.format == "csv" and not args.out else sys.stdout
     _emit_meta(meta_stream, "clt", argv, seed=args.seed)
     print(f"stream={CLT_STREAM_VERSION}", file=meta_stream)
@@ -215,11 +227,7 @@ def _cmd_clt(args: argparse.Namespace, argv: Sequence[str]) -> int:
     print(f"ks_stat={_sig6(report.ks_stat)}", file=meta_stream)
     print(f"dw_bound={_sig6(report.dw_bound)}", file=meta_stream)
     print(f"dk_bound={_sig6(report.dk_bound)}", file=meta_stream)
-    header = ("z_lo", "z_hi", "count")
-    hist_rows = [(f"{lo:.6g}", f"{hi:.6g}", count) for lo, hi, count in report.histogram]
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            _write_csv(fh, header, hist_rows)
         print(f"out={args.out}", file=meta_stream)
     elif args.format == "csv":
         _write_csv(sys.stdout, header, hist_rows)
@@ -306,7 +314,7 @@ def build_parser() -> _Parser:
     p_compose.add_argument("input", help="comma-separated images or parts")
 
     p_verify = sub.add_parser("verify", help="run the cross-verification suites")
-    p_verify.add_argument("level", choices=("quick", "full"))
+    p_verify.add_argument("level", choices=LEVELS)
 
     return parser
 

@@ -104,6 +104,14 @@ class TestSample:
         with pytest.raises(ValueError):
             sample_b_regular(RestrictionVector(()), 0)
 
+    def test_seeded_draws_are_pinned(self):
+        # recorded outputs: any change to the draw stream shows here
+        assert sample_b_regular(RestrictionVector.br(3, 12), 7).images == (
+            2, 1, 7, 4, 3, 8, 5, 6, 12, 10, 9, 11)
+        b = RestrictionVector((1, 1, 2, 4, 4, 4, 5))
+        assert [sample_b_regular(b, seed).images for seed in range(3)] == [
+            (1, 2, 3, 7, 4, 5, 6), (1, 3, 2, 6, 4, 7, 5), (1, 3, 2, 7, 6, 4, 5)]
+
     def test_small_family_frequencies_are_uniform(self):
         # deterministic seeded run; loose bounds around the exact mean
         b = RestrictionVector.b2(4)

@@ -124,6 +124,13 @@ class TestMoments:
         rows = list(csv.reader(io.StringIO(target.read_text())))
         assert len(rows) == 7  # header + k = 1..6
 
+    @pytest.mark.parametrize("where", ["missing/moments.csv", "."])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, where):
+        code, out, err = run(capsys, "moments", "--n", "6", "--out", str(tmp_path / where))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
     def test_k_selection_variants(self, capsys):
         code, out, _ = run(capsys, "moments", "--n", "9", "--k", "1,3")
         assert code == 0
@@ -193,6 +200,15 @@ class TestClt:
         assert rows[0] == ["z_lo", "z_hi", "count"]
         assert sum(int(r[2]) for r in rows[1:]) == 3000
 
+    @pytest.mark.parametrize("where", ["missing/hist.csv", "."])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, where):
+        code, out, err = run(
+            capsys, "clt", "--n", "5", "--k", "2", "--samples", "2", "--out", str(tmp_path / where),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
     def test_histogram_csv_to_stdout(self, capsys):
         code, out, err = run(
             capsys, "clt", "--n", "50", "--k", "1", "--samples", "2000", "--seed", "4",
@@ -239,6 +255,18 @@ class TestSample:
 
         for line in image_lines:
             assert Permutation(tuple(int(v) for v in line.split(","))).satisfies(b)
+
+    def test_seeded_output_is_pinned(self, capsys):
+        code, out, _ = run(capsys, "sample", "b2:8", "--samples", "6", "--seed", "5")
+        assert code == 0
+        assert [ln for ln in out.splitlines() if "=" not in ln] == [
+            "4,1,2,3,6,5,7,8",
+            "4,1,2,3,6,5,7,8",
+            "4,1,2,3,6,5,7,8",
+            "8,1,2,3,4,5,6,7",
+            "1,6,2,3,4,5,7,8",
+            "2,1,5,3,4,6,8,7",
+        ]
 
     def test_negative_sample_count_is_usage_error(self, capsys):
         code, out, err = run(capsys, "sample", "b2:5", "--samples", "-3")

@@ -82,3 +82,29 @@ class TestFullLevel:
         assert [r.name for r in results] == CHECK_NAMES + ["coverage: operation checklist"]
         failures = [r for r in results if not r.passed]
         assert not failures, format_results(results)
+
+
+class TestFailurePath:
+    """A counterexample becomes one FAIL row and exit code 2, and leaves the
+    other checks alone."""
+
+    @pytest.fixture
+    def off_by_one_totals(self, monkeypatch):
+        import bregperm.verify
+
+        true_totals = bregperm.verify.total_k_parts
+        monkeypatch.setattr(bregperm.verify, "total_k_parts", lambda n, k: true_totals(n, k) + 1)
+
+    def test_counterexample_fails_only_its_check(self, off_by_one_totals):
+        results = run_checks("quick")
+        assert [r.name for r in results] == CHECK_NAMES
+        failed = [r for r in results if not r.passed]
+        assert [r.name for r in failed] == ["bijection: part totals"]
+        assert failed[0].detail == "total 1-parts over compositions of 1: formula 2, enumeration 1"
+        assert format_results(results).splitlines()[-1].endswith(", 1 failures")
+
+    def test_cli_exit_code(self, off_by_one_totals, capsys):
+        from bregperm import cli
+
+        assert cli.main(["verify", "quick"]) == 2
+        assert "FAIL  bijection: part totals" in capsys.readouterr().out
