@@ -28,12 +28,13 @@ from fractions import Fraction
 import numpy as np
 
 from .bregular import enumerate_b_regular
-from .core import RestrictionVector
+from .core import CapExceeded, RestrictionVector
 from .cycindex import mean_k_cycles, variance_k_cycles
 
 # Bumped whenever the sampler maps a seed to different draws.
 CLT_STREAM_VERSION = 2
-_CHUNK_WORDS = 1 << 19  # 4 MB per uint64 working array
+_BLOCK_BYTES = 1 << 18  # per sampler work array: four of them fit a 1 MiB L2
+_SAMPLE_WORD_BUDGET = 1 << 32  # random words per sampler call, ~1300x the published run
 
 
 def _segment_count(m: int) -> int:
@@ -279,13 +280,21 @@ def standard_normal_cdf(z: float) -> float:
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
 
-def _shift_down(words: np.ndarray, s: int) -> np.ndarray:
-    """Each row read as one LSB-first multiword integer, shifted right by s < 64 * width."""
+def _shift_into(dst: np.ndarray, src: np.ndarray, s: int, scratch: np.ndarray) -> None:
+    """dst = src >> s, each row read as one LSB-first multiword integer.
+
+    Rows end in a spare zero word, so the flat row-major buffer can be
+    shifted in one pass: a word borrows its high bits from the next word,
+    and the last real word borrows zeros.  What crossed into the next row
+    lands in the last q + 1 words of each row, which are zeroed again.
+    """
     q, r = divmod(s, 64)
-    out = np.zeros_like(words)
-    out[:, : words.shape[1] - q] = words[:, q:] >> r
-    out[:, : words.shape[1] - q - 1] |= words[:, q + 1 :] << (64 - r)  # numpy: x << 64 == 0
-    return out
+    d, a, t = dst.reshape(-1), src.reshape(-1), scratch.reshape(-1)
+    size = a.size
+    np.right_shift(a[q:], r, out=d[: size - q])
+    np.left_shift(a[q + 1 :], 64 - r, out=t[: size - q - 1])  # numpy: x << 64 == 0
+    np.bitwise_or(d[: size - q - 1], t[: size - q - 1], out=d[: size - q - 1])
+    dst[:, src.shape[1] - 1 - q :] = 0
 
 
 def sample_k_part_counts(n: int, k: int, samples: int, rng: np.random.Generator) -> np.ndarray:
@@ -302,25 +311,51 @@ def sample_k_part_counts(n: int, k: int, samples: int, rng: np.random.Generator)
     with shifts carrying across words.  Clearing the bits above n already
     confines the starts to 0..n-k, and the run of k-1 clear bits is found
     by doubling, in O(log k) shifts.
+
+    The words are processed in blocks of rows small enough for four
+    W + 1 word arrays to stay in a core's L2 cache.  Those arrays are
+    allocated once per call, and every shift, AND, invert and popcount
+    writes into them.  Each block draws its (rows, W) words with one
+    full-range `integers` call, which takes exactly one 64-bit generator
+    output per word, so the blocks read the stream as one draw of
+    (samples, W) words would: the seeded counts do not depend on the block
+    size.
+
+    Raises CapExceeded before allocating anything when samples * W words
+    exceed a fixed budget.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     _check_indicator_args(n, k)
-    out = np.empty(samples, dtype=np.int64)
     width, top = (n + 64) // 64, n % 64
-    chunk = max(1, _CHUNK_WORDS // width)
-    for pos in range(0, samples, chunk):
-        c = rng.integers(0, 2**64, size=(min(chunk, samples - pos), width), dtype=np.uint64)
-        c[:, 0] |= np.uint64(1)
-        c[:, -1] = c[:, -1] & np.uint64((2 << top) - 1) | np.uint64(1 << top)
-        hits = c & _shift_down(c, k)
-        free, span = ~c, 1  # bit p of free: no cut at p .. p+span-1
-        while span < k - 1:
-            free &= _shift_down(free, min(span, k - 1 - span))
-            span = min(2 * span, k - 1)
+    if samples * width > _SAMPLE_WORD_BUDGET:
+        raise CapExceeded("sample_k_part_counts random words", samples * width, _SAMPLE_WORD_BUDGET)
+    out = np.empty(samples, dtype=np.int64)
+    rows = max(1, min(_BLOCK_BYTES // (8 * (width + 1)), samples))
+    c, free, hits, scratch = (np.zeros((rows, width + 1), dtype=np.uint64) for _ in range(4))
+    for pos in range(0, samples, rows):
+        m = min(rows, samples - pos)
+        cb, fb, hb, sb = c[:m], free[:m], hits[:m], scratch[:m]
+        cb[:, :width] = rng.integers(0, 2**64, size=(m, width), dtype=np.uint64)
+        cb[:, 0] |= np.uint64(1)
+        last = cb[:, width - 1]
+        np.bitwise_and(last, np.uint64((2 << top) - 1), out=last)
+        np.bitwise_or(last, np.uint64(1 << top), out=last)
+        _shift_into(hb, cb, k, sb)
+        np.bitwise_and(hb, cb, out=hb)
         if k > 1:
-            hits &= _shift_down(free, 1)
-        out[pos : pos + len(c)] = np.bitwise_count(hits).sum(axis=1)
+            # c is spent once inverted, so it holds each shifted copy of free
+            np.invert(cb, out=fb)
+            fb[:, width] = 0
+            span = 1  # bit p of free: no cut at p .. p+span-1
+            while span < k - 1:
+                _shift_into(cb, fb, min(span, k - 1 - span), sb)
+                np.bitwise_and(fb, cb, out=fb)
+                span = min(2 * span, k - 1)
+            _shift_into(cb, fb, 1, sb)
+            np.bitwise_and(hb, cb, out=hb)
+        np.bitwise_count(hb, out=sb)
+        np.add.reduce(sb, axis=1, out=out[pos : pos + m])
     return out
 
 
@@ -359,6 +394,7 @@ def clt_empirical_test(n: int, k: int, samples: int, seed: int) -> CltReport:
     counts = sample_k_part_counts(n, k, samples, rng)
     mu = mean_k_cycles(n, k)
     sigma2 = variance_k_cycles(n, k)
+    dw = wasserstein_bound(n, k)
     mu_f = float(mu)
     sigma_f = math.sqrt(float(sigma2))
     values, freq = np.unique(counts, return_counts=True)
@@ -388,8 +424,8 @@ def clt_empirical_test(n: int, k: int, samples: int, seed: int) -> CltReport:
         emp_mean=float(counts.mean()),
         emp_var=float(counts.var(ddof=1)),
         ks_stat=float(ks),
-        dw_bound=wasserstein_bound(n, k),
-        dk_bound=kolmogorov_from_wasserstein(wasserstein_bound(n, k)),
+        dw_bound=dw,
+        dk_bound=kolmogorov_from_wasserstein(dw),
         histogram=hist,
     )
 

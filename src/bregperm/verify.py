@@ -17,6 +17,8 @@ sizes at its top from the ``full`` flag, states each claim as
 ``expect(ok, message, *values)``, and returns a one-line detail.  The runner
 owns the rest: it counts the claims as the check's assertions and turns the
 first false one into a failed result carrying ``message.format(*values)``.
+Any other exception raised inside a check fails that check alone, with
+detail ``TypeName: message``.
 
 ``run_checks`` returns one :class:`CheckResult` per suite; the CLI renders
 them and maps any failure to a nonzero exit code.  Each suite declares the
@@ -691,6 +693,8 @@ def run_checks(level: str) -> list[CheckResult]:
             exercised.update(ops)
         except _Failure as failure:
             passed, detail = False, str(failure)
+        except Exception as exc:  # a crash inside one check fails that check, not the run
+            passed, detail = False, f"{type(exc).__name__}: {exc}"
         results.append(CheckResult(name, passed, detail, expect.count, time.perf_counter() - start))
     if full:
         wanted = {f"{module}.{op}" for module, ops in OPS_CHECKLIST.items() for op in ops}

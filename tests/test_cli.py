@@ -5,6 +5,7 @@ shell user sees."""
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 from fractions import Fraction
 
@@ -237,6 +238,35 @@ class TestClt:
         assert code == 1
         assert out == ""
         assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+    def test_sample_budget_is_a_cap_error(self, capsys):
+        code, out, err = run(capsys, "clt", "--n", "10", "--k", "1", "--samples", str(2**62))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("cap exceeded: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "k, stdout_sha256, stats",
+        [
+            (1, "c966af2a6e2cbb62cc0e9a0e2a6f80a77787630adcb23a42207d48a24fb63894",
+             ["emp_mean=500.652", "emp_var=627.642", "ks_stat=0.00918741"]),
+            (2, "05f6695c4f82b88a2a3e1eaf8781450702fbb2b003e4eeb2a94fcf5a67b86454",
+             ["emp_mean=250.094", "emp_var=221.101", "ks_stat=0.0188948"]),
+            (3, "345e3c75f9747528eba08a669f491180e11ef2e2595258a7cebbf719b60c72cf",
+             ["emp_mean=125.05", "emp_var=101.589", "ks_stat=0.0232743"]),
+        ],
+    )
+    def test_published_run_is_pinned(self, capsys, k, stdout_sha256, stats):
+        # the paper's n = 2000, 10^5-draw run at seed 42 on stream 2
+        code, out, err = run(
+            capsys, "clt", "--n", "2000", "--k", str(k), "--samples", "100000", "--seed", "42",
+            "--format", "csv",
+        )
+        assert code == 0
+        assert kv(err)["stream"] == "2" == str(CLT_STREAM_VERSION)
+        assert [ln for ln in err.splitlines() if ln.startswith(("emp_", "ks_"))] == stats
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha256
 
 
 class TestSample:

@@ -11,8 +11,10 @@ import pytest
 from scipy import stats
 
 from bregperm import oracles
+from bregperm.core import CapExceeded
 from bregperm.cycindex import mean_k_cycles, variance_k_cycles
 from bregperm.stein import (
+    _BLOCK_BYTES,
     DependenceReport,
     PRINTED_DEPENDENCY_SIZE_FACTOR,
     WASSERSTEIN_TO_KOLMOGOROV_C,
@@ -179,6 +181,17 @@ class TestNormalCdf:
             assert abs(standard_normal_cdf(z) + standard_normal_cdf(-z) - 1.0) < 1e-15
 
 
+def unpacked_reference(n: int, k: int, draws: int, seed: int) -> list[int]:
+    """The sampler's words drawn in one call, unpacked one bit per cell,
+    gaps between consecutive cuts counted."""
+    words = np.random.default_rng(seed).integers(0, 2**64, size=(draws, (n + 64) // 64), dtype=np.uint64)
+    bits = np.unpackbits(words.astype("<u8").view(np.uint8), axis=1, bitorder="little")[:, : n + 1]
+    bits[:, [0, n]] = 1
+    rows, cols = np.nonzero(bits)
+    same_row = rows[1:] == rows[:-1]
+    return np.bincount(rows[1:][same_row & (np.diff(cols) == k)], minlength=draws).tolist()
+
+
 class TestSampling:
     def test_counts_are_bounded(self):
         rng = np.random.default_rng(1)
@@ -205,15 +218,23 @@ class TestSampling:
 
     @pytest.mark.parametrize("n", (2, 3, 63, 64, 65, 127, 128, 129, 200))
     def test_counts_equal_unpacked_reference_at_word_edges(self, n):
-        # the same words unpacked one bit per cell, gaps between cuts counted
         draws = 300
         for k in range(1, min(n, 6) + 1):
             got = sample_k_part_counts(n, k, draws, np.random.default_rng(k))
-            words = np.random.default_rng(k).integers(0, 2**64, size=(draws, (n + 64) // 64), dtype=np.uint64)
-            bits = np.unpackbits(words.astype("<u8").view(np.uint8), axis=1, bitorder="little")[:, : n + 1]
-            bits[:, [0, n]] = 1
-            expected = [int((np.diff(np.flatnonzero(row)) == k).sum()) for row in bits]
-            assert got.tolist() == expected
+            assert got.tolist() == unpacked_reference(n, k, draws, k)
+
+    @pytest.mark.parametrize("n", (63, 64, 65, 2000))
+    def test_blocks_concatenate_to_one_draw(self, n):
+        # two full blocks and a partial one; k >= 64 shifts by whole words
+        draws = 2 * (_BLOCK_BYTES // (8 * ((n + 64) // 64 + 1))) + 37
+        for k in (1, 2, 3, 64, 65, 70):
+            if k <= n:
+                got = sample_k_part_counts(n, k, draws, np.random.default_rng(k))
+                assert got.tolist() == unpacked_reference(n, k, draws, k)
+
+    def test_word_budget_is_checked_before_allocating(self):
+        with pytest.raises(CapExceeded, match="random words"):
+            sample_k_part_counts(10, 1, 2**62, np.random.default_rng(0))
 
     def test_argument_validation(self):
         rng = np.random.default_rng(0)

@@ -108,3 +108,32 @@ class TestFailurePath:
 
         assert cli.main(["verify", "quick"]) == 2
         assert "FAIL  bijection: part totals" in capsys.readouterr().out
+
+
+class TestCrashPath:
+    """An exception other than a false claim also fails only its own check."""
+
+    @pytest.fixture
+    def crashing_totals(self, monkeypatch):
+        import bregperm.verify
+
+        def crash(n, k):
+            raise ValueError(f"no totals for n={n}")
+
+        monkeypatch.setattr(bregperm.verify, "total_k_parts", crash)
+
+    def test_crash_fails_only_its_check(self, crashing_totals):
+        results = run_checks("quick")
+        assert [r.name for r in results] == CHECK_NAMES
+        failed = [r for r in results if not r.passed]
+        assert [r.name for r in failed] == ["bijection: part totals"]
+        assert failed[0].detail == "ValueError: no totals for n=1"
+        assert sum(r.passed for r in results) == 22
+
+    def test_cli_exit_code(self, crashing_totals, capsys):
+        from bregperm import cli
+
+        assert cli.main(["verify", "quick"]) == 2
+        out = capsys.readouterr().out
+        assert "FAIL  bijection: part totals" in out
+        assert out.count("FAIL") == 1
