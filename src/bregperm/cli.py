@@ -122,13 +122,16 @@ def _write_csv_file(path: str, header: Sequence[str], rows: Iterable[Sequence[ob
 
 def _resolve_b(args: argparse.Namespace) -> RestrictionVector:
     if args.b_spec is not None:
+        if args.n is not None or args.r is not None:
+            raise _UsageError(f"give a restriction spec or --n/--r, not both (spec {args.b_spec!r})")
         return parse_b_spec(args.b_spec)
     if args.n is None:
         raise _UsageError("give a restriction spec or --n (with optional --r)")
+    r = 2 if args.r is None else args.r
     try:
-        return RestrictionVector.br(args.r, args.n)
+        return RestrictionVector.br(r, args.n)
     except ValueError as exc:
-        raise _UsageError(f"bad staircase --n {args.n} --r {args.r}: {exc}") from exc
+        raise _UsageError(f"bad staircase --n {args.n} --r {r}: {exc}") from exc
 
 
 def _check_n_k(args: argparse.Namespace) -> None:
@@ -171,15 +174,15 @@ def _cmd_moments(args: argparse.Namespace, argv: Sequence[str]) -> int:
         var = sf + mean - mean * mean
         rows.append((args.n, k, mean.numerator, mean.denominator,
                      var.numerator, var.denominator, sf.numerator, sf.denominator))
-    if args.format == "kv":
-        _emit_meta(sys.stdout, "moments", argv)
-        for _, k, mn, md, vn, vd, sn, sd in rows:
-            print(f"n={args.n} k={k} mean={mn}/{md} variance={vn}/{vd} second_falling={sn}/{sd}")
-    elif args.out:
+    if args.out:
         _write_csv_file(args.out, header, rows)
         _emit_meta(sys.stdout, "moments", argv)
         print(f"out={args.out}")
         print(f"rows={len(rows)}")
+    elif args.format == "kv":
+        _emit_meta(sys.stdout, "moments", argv)
+        for _, k, mn, md, vn, vd, sn, sd in rows:
+            print(f"n={args.n} k={k} mean={mn}/{md} variance={vn}/{vd} second_falling={sn}/{sd}")
     else:
         _emit_meta(sys.stderr, "moments", argv)
         _write_csv(sys.stdout, header, rows)
@@ -249,16 +252,15 @@ def _cmd_sample(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 def _cmd_compose(args: argparse.Namespace, argv: Sequence[str]) -> int:
     values = _parse_int_list(args.input, "input")
-    _emit_meta(sys.stdout, "compose", argv)
     try:
         if args.direction == "to-comp":
-            result = perm_to_composition(Permutation(values))
-            print(",".join(str(part) for part in result.parts))
+            result = perm_to_composition(Permutation(values)).parts
         else:
-            perm = composition_to_perm(Composition(values))
-            print(",".join(str(v) for v in perm.images))
+            result = composition_to_perm(Composition(values)).images
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
+    _emit_meta(sys.stdout, "compose", argv)
+    print(",".join(str(v) for v in result))
     return 0
 
 
@@ -277,7 +279,7 @@ def build_parser() -> _Parser:
         p.add_argument("b_spec", nargs="?", default=None,
                        help="explicit vector '1,1,2,4,4' or shorthand b2:n / b3:n / br:r,n")
         p.add_argument("--n", type=int, default=None, help="size for the --r staircase shorthand")
-        p.add_argument("--r", type=int, default=2, help="staircase offset (default 2)")
+        p.add_argument("--r", type=int, default=None, help="staircase offset with --n (default 2)")
 
     p_count = sub.add_parser("count", help="number of permutations compatible with a restriction")
     add_b_spec(p_count)

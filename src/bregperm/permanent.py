@@ -8,17 +8,16 @@ the Ryser kernel residues joined by the Chinese remainder theorem.
 from __future__ import annotations
 
 import math
-from itertools import islice, permutations
 from typing import Iterator
 
 import numpy as np
 
+from . import oracles
 from .core import CapExceeded, RestrictionMatrix, RestrictionVector
 
 RYSER_DEFAULT_CAP = 30
 ENUMERATE_DEFAULT_CAP = 10
 
-_CHUNK = 200_000
 _LOW_COLUMNS = 12  # columns in the row-sum table; it holds 2^12 subsets
 
 
@@ -99,31 +98,15 @@ def _primes_below_2_31() -> Iterator[int]:
             yield c
 
 
-def _permutation_block(start_iter, size: int) -> np.ndarray | None:
-    block = list(islice(start_iter, size))
-    if not block:
-        return None
-    return np.array(block, dtype=np.int8)
-
-
 def permanent_enumerate(m: RestrictionMatrix, cap: int = ENUMERATE_DEFAULT_CAP) -> int:
     """Permanent by summing the product over all n! permutations.
 
-    Independent oracle for permanent_ryser; factorial cost limits n.  For a
-    0/1 matrix the sum is the number of permutations whose product is 1, so
-    blocks of permutations are checked with vectorised all-ones tests.
+    Independent oracle for permanent_ryser; factorial cost limits n.  The
+    sum is :func:`bregperm.oracles.permanent`, behind a size cap.
     """
-    n = m.n
-    if n > cap:
-        raise CapExceeded("permanent_enumerate matrix dimension", n, cap)
-    rows = np.array(m.rows, dtype=np.int8)
-    cols = np.arange(n)
-    it = permutations(range(n))
-    total = 0
-    while (block := _permutation_block(it, _CHUNK)) is not None:
-        picked = rows[cols, block]  # entry M[i, pi(i)] for each permutation row
-        total += int(np.count_nonzero(picked.all(axis=1)))
-    return total
+    if m.n > cap:
+        raise CapExceeded("permanent_enumerate matrix dimension", m.n, cap)
+    return oracles.permanent(m.rows)
 
 
 def reduce_vector_on_fixed_point(b: RestrictionVector, i: int) -> RestrictionVector:

@@ -22,12 +22,15 @@ detail ``TypeName: message``.
 
 ``run_checks`` returns one :class:`CheckResult` per suite; the CLI renders
 them and maps any failure to a nonzero exit code.  Each suite declares the
-public operations it exercises, and at the ``full`` level the run also
-asserts that those declarations cover every operation of every module.
+public operations its claims rest on.  At the ``full`` level a last row
+reads the operations off the code -- every public function of the library
+modules and every CLI subcommand but ``verify`` -- and fails, naming them,
+if any is declared by no passing suite.
 """
 
 from __future__ import annotations
 
+import inspect
 import io
 import itertools
 import math
@@ -41,6 +44,8 @@ from typing import Callable
 
 from . import oracles
 from .bijection import (
+    composition_from_index,
+    composition_to_index,
     composition_to_perm,
     enumerate_compositions,
     perm_to_composition,
@@ -91,58 +96,6 @@ CLT_SAMPLE_COUNT = 100_000
 
 #: Verification levels, cheapest first; a check sees only whether it runs at ``full``.
 LEVELS = ("quick", "full")
-
-#: Public operations per module; `verify full` must exercise all of them.
-OPS_CHECKLIST: dict[str, tuple[str, ...]] = {
-    "core": ("matrix_from_vector", "cycle_type"),
-    "permanent": (
-        "permanent_ryser",
-        "permanent_enumerate",
-        "reduce_vector_on_fixed_point",
-        "count_with_fixed_points",
-    ),
-    "bregular": (
-        "count_b_regular",
-        "enumerate_b_regular",
-        "sample_b_regular",
-        "fixed_point_mean",
-        "fixed_point_variance",
-        "count_k_cycles",
-    ),
-    "bijection": (
-        "record_positions",
-        "perm_to_composition",
-        "composition_to_perm",
-        "enumerate_compositions",
-        "total_k_parts",
-    ),
-    "cycindex": (
-        "extract_factorial_moment",
-        "mean_k_cycles",
-        "variance_k_cycles",
-        "second_falling_moment",
-    ),
-    "stein": (
-        "indicator_probability",
-        "joint_indicator_probability",
-        "dependence_threshold",
-        "shifted_moment_sums",
-        "wasserstein_bound",
-        "kolmogorov_from_wasserstein",
-        "clt_empirical_test",
-    ),
-    "cli": (
-        "cmd_count",
-        "cmd_moments",
-        "cmd_bound",
-        "cmd_clt",
-        "cmd_sample",
-        "cmd_compose",
-        # cmd_verify is left out: the suite cannot run itself, and
-        # tests/test_cli.py covers the `verify` entry point
-    ),
-}
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -372,7 +325,9 @@ def _check_bijection_roundtrip(full: bool, expect: _Expect) -> str:
     top = 14 if full else 8
     for n in range(1, top + 1):
         images = set()
-        for c in enumerate_compositions(n):
+        for w, c in enumerate(enumerate_compositions(n)):
+            expect(composition_to_index(c) == w and composition_from_index(n, w) == c,
+                   "cut word {} of n={} does not encode composition {}", w, n, c.parts)
             p = composition_to_perm(c)
             expect(p.satisfies(RestrictionVector.b2(n)), "composition {} maps outside the family", c.parts)
             expect(perm_to_composition(p) == c, "round trip failed for composition {}", c.parts)
@@ -385,7 +340,7 @@ def _check_bijection_roundtrip(full: bool, expect: _Expect) -> str:
                n, len(images), 1 << (n - 1))
         family = {p.images for p in enumerate_b_regular(RestrictionVector.b2(n))}
         expect(images == family, "bijection image for n={} is not the whole family", n)
-    return f"both round trips are identities, image is the whole family (n <= {top})"
+    return f"both round trips and the cut-word codec are identities, image is the whole family (n <= {top})"
 
 
 def _check_bijection_cycle_parts(full: bool, expect: _Expect) -> str:
@@ -658,24 +613,46 @@ _CHECKS: tuple[tuple[str, Callable[[bool, _Expect], str], tuple[str, ...]], ...]
     ("bregular: cycle shape law", _check_bregular_cycle_shape, ()),
     ("bijection: round trips", _check_bijection_roundtrip,
      ("bijection.perm_to_composition", "bijection.composition_to_perm",
-      "bijection.enumerate_compositions", "bijection.record_positions")),
+      "bijection.enumerate_compositions", "bijection.record_positions",
+      "bijection.composition_from_index", "bijection.composition_to_index")),
     ("bijection: cycles vs parts", _check_bijection_cycle_parts, ()),
     ("bijection: part totals", _check_bijection_totals, ("bijection.total_k_parts",)),
     ("cycindex: three pipelines", _check_cycindex_pipelines,
      ("cycindex.mean_k_cycles", "cycindex.second_falling_moment",
-      "cycindex.variance_k_cycles", "cycindex.extract_factorial_moment")),
+      "cycindex.variance_k_cycles", "cycindex.extract_factorial_moment",
+      "cycindex.mean_formula_is_exact", "cycindex.second_falling_formula_is_exact")),
     ("cycindex: series health", _check_cycindex_series, ()),
-    ("stein: mean decomposition", _check_stein_mean_sum, ("stein.indicator_probability",)),
+    ("stein: mean decomposition", _check_stein_mean_sum,
+     ("stein.indicator_probability", "stein.indicator_law")),
     ("stein: covariance decomposition", _check_stein_covariance, ("stein.joint_indicator_probability",)),
     ("stein: joint oracle", _check_stein_joint_oracle, ()),
     ("stein: independence ranges", _check_stein_independence, ("stein.dependence_threshold",)),
     ("stein: bound anchors", _check_stein_bound,
-     ("stein.shifted_moment_sums", "stein.wasserstein_bound", "stein.kolmogorov_from_wasserstein")),
-    ("stein: sampled normal approximation", _check_stein_clt, ("stein.clt_empirical_test",)),
-    ("stein: wider-staircase probe", _check_independence_probe, ()),
+     ("stein.shifted_moment_sums", "stein.wasserstein_bound", "stein.kolmogorov_from_wasserstein",
+      "stein.stein_bound_report")),
+    ("stein: sampled normal approximation", _check_stein_clt,
+     ("stein.clt_empirical_test", "stein.sample_k_part_counts", "stein.standard_normal_cdf")),
+    ("stein: wider-staircase probe", _check_independence_probe, ("stein.independence_probe",)),
     ("cli: subcommand smoke", _check_cli_smoke,
      ("cli.cmd_count", "cli.cmd_moments", "cli.cmd_bound", "cli.cmd_clt", "cli.cmd_sample", "cli.cmd_compose")),
 )
+
+
+def _public_operations() -> set[str]:
+    """The operations (``module.name``) `verify full` must exercise, read off
+    the code: every public function defined in a library module, and
+    ``cli.cmd_<name>`` for every subcommand but ``verify``, which the suite
+    cannot run from inside itself (tests/test_cli.py covers it)."""
+    from . import bijection, bregular, cli, core, cycindex, permanent, stein
+
+    ops = {
+        f"{module.__name__.rpartition('.')[2]}.{name}"
+        for module in (core, permanent, bregular, bijection, cycindex, stein)
+        for name, obj in vars(module).items()
+        if inspect.isfunction(obj) and obj.__module__ == module.__name__ and not name.startswith("_")
+    }
+    ops.update(f"cli.cmd_{name}" for name in cli._DISPATCH if name != "verify")
+    return ops
 
 
 def run_checks(level: str) -> list[CheckResult]:
@@ -697,7 +674,7 @@ def run_checks(level: str) -> list[CheckResult]:
             passed, detail = False, f"{type(exc).__name__}: {exc}"
         results.append(CheckResult(name, passed, detail, expect.count, time.perf_counter() - start))
     if full:
-        wanted = {f"{module}.{op}" for module, ops in OPS_CHECKLIST.items() for op in ops}
+        wanted = _public_operations()
         missing = sorted(wanted - exercised)
         results.append(CheckResult(
             "coverage: operation checklist",

@@ -7,9 +7,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bregperm import __version__
 from bregperm.cli import main, parse_b_spec
@@ -116,14 +119,15 @@ class TestMoments:
         assert "n=8 k=2 mean=9/8 variance=57/64 second_falling=33/32" in out
 
     def test_csv_to_file(self, capsys, tmp_path):
-        target = tmp_path / "moments.csv"
-        code, out, _ = run(capsys, "moments", "--n", "6", "--out", str(target))
-        assert code == 0
-        fields = kv(out)
-        assert fields["out"] == str(target)
-        assert fields["rows"] == "6"
-        rows = list(csv.reader(io.StringIO(target.read_text())))
-        assert len(rows) == 7  # header + k = 1..6
+        for fmt in ("csv", "kv"):  # --out wins over --format, as in clt
+            target = tmp_path / f"moments-{fmt}.csv"
+            code, out, _ = run(capsys, "moments", "--n", "6", "--format", fmt, "--out", str(target))
+            assert code == 0
+            fields = kv(out)
+            assert fields["out"] == str(target)
+            assert fields["rows"] == "6"
+            rows = list(csv.reader(io.StringIO(target.read_text())))
+            assert len(rows) == 7  # header + k = 1..6
 
     @pytest.mark.parametrize("where", ["missing/moments.csv", "."])
     def test_unwritable_out_is_usage_error(self, capsys, tmp_path, where):
@@ -364,6 +368,12 @@ class TestTopLevel:
             ("count", "--n", "3", "--r", "0"),
             ("sample", "--n", "0"),
             ("moments", "--n", "0"),
+            ("compose", "to-perm", "0"),
+            ("compose", "to-comp", "3,2,1"),
+            ("count", "b2:3", "--n", "5"),
+            ("count", "b2:3", "--r", "5"),
+            ("sample", "b2:3", "--n", "5"),
+            ("sample", "b2:3", "--r", "5"),
         ],
     )
     def test_out_of_range_sizes_are_usage_errors(self, capsys, argv):
@@ -379,3 +389,62 @@ class TestTopLevel:
     def test_unknown_command_is_usage_error(self, capsys):
         code, _, err = run(capsys, "frobnicate")
         assert code == 1
+
+
+def int_lists(lo: int, hi: int, max_size: int) -> st.SearchStrategy[str]:
+    """Comma-joined lists of integers in [lo, hi], possibly empty."""
+    return st.lists(st.integers(lo, hi), max_size=max_size).map(lambda v: ",".join(map(str, v)))
+
+
+class TestArgvProperty:
+    """Any argv of these shapes ends in exit 0, 1 or 3 without a traceback;
+    a nonzero exit prints nothing on stdout and one line on stderr.  Sizes
+    stay small so every example is fast."""
+
+    @staticmethod
+    def check(argv: list[str]) -> None:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 3), (argv, code)
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+        if code:
+            assert out.getvalue() == "", argv
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), argv
+
+    @settings(deadline=None, max_examples=80)
+    @given(data=st.data(), method=st.sampled_from(["product", "permanent", "enumerate"]))
+    def test_count(self, data, method):
+        top = 8 if method == "enumerate" else 12
+        n = data.draw(st.integers(-1, top))
+        spec = data.draw(st.one_of(
+            st.sampled_from([f"b2:{n}", f"b3:{n}", f"b2:{n}x", "br:3"]),
+            st.integers(-1, 4).map(lambda r: f"br:{r},{n}"),
+            int_lists(-1, top, top),
+        ))
+        argv = ["count", spec, "--method", method]
+        if data.draw(st.booleans()):
+            argv += ["--cap", str(data.draw(st.integers(-1, top)))]
+        if data.draw(st.booleans()):
+            argv += ["--r", str(data.draw(st.integers(-1, 4)))]
+        self.check(argv)
+
+    @settings(deadline=None, max_examples=80)
+    @given(direction=st.sampled_from(["to-comp", "to-perm"]),
+           text=st.one_of(int_lists(-2, 12, 10), st.text("0123456789,x", max_size=8)))
+    def test_compose(self, direction, text):
+        self.check(["compose", direction, text])
+
+    @settings(deadline=None, max_examples=60)
+    @given(n=st.integers(-2, 40), k=st.one_of(st.none(), st.text("0123456789:,-", max_size=6)),
+           fmt=st.sampled_from(["csv", "kv"]))
+    def test_moments(self, n, k, fmt):
+        argv = ["moments", "--n", str(n), "--format", fmt]
+        if k is not None:
+            argv += [f"--k={k}"]
+        self.check(argv)
+
+    @settings(deadline=None, max_examples=60)
+    @given(n=st.integers(-2, 60), k=st.integers(-2, 30))
+    def test_bound(self, n, k):
+        self.check(["bound", "--n", str(n), "--k", str(k)])

@@ -1,8 +1,10 @@
-"""Run every module's docstring examples; they double as API anchors."""
+"""Run every module's docstring examples and the README's; they double as
+API anchors."""
 
 from __future__ import annotations
 
 import doctest
+from pathlib import Path
 
 import pytest
 
@@ -33,3 +35,9 @@ MODULES = (
 def test_module_doctests(module):
     result = doctest.testmod(module, verbose=False)
     assert result.failed == 0
+
+
+def test_readme_examples():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False, verbose=False)
+    assert result.attempted > 0 and result.failed == 0

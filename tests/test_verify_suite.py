@@ -6,7 +6,10 @@ from __future__ import annotations
 
 import pytest
 
-from bregperm.verify import CheckResult, OPS_CHECKLIST, format_results, run_checks
+from bregperm.verify import _CHECKS, CheckResult, format_results, run_checks
+
+# every op some check declares; `verify full` requires this to cover the code
+DECLARED = frozenset(op for _, _, ops in _CHECKS for op in ops)
 
 # The benchmark's per-check metrics and the `verify quick` output digest key
 # on these names; a check may move between suites but must not disappear.
@@ -67,13 +70,15 @@ class TestStructure:
 
     def test_checklist_names_public_api(self):
         import bregperm
+        from bregperm.verify import _public_operations
 
-        for module, ops in OPS_CHECKLIST.items():
-            assert ops, module
-            if module == "cli":
-                continue
-            for op in ops:
-                assert hasattr(bregperm, op), f"{module}.{op} not re-exported"
+        ops = _public_operations()
+        assert {op.partition(".")[0] for op in ops} == {
+            "core", "permanent", "bregular", "bijection", "cycindex", "stein", "cli"}
+        for op in ops:
+            module, _, name = op.partition(".")
+            if module != "cli":
+                assert hasattr(bregperm, name), f"{op} not re-exported"
 
 
 class TestFullLevel:
@@ -82,6 +87,38 @@ class TestFullLevel:
         assert [r.name for r in results] == CHECK_NAMES + ["coverage: operation checklist"]
         failures = [r for r in results if not r.passed]
         assert not failures, format_results(results)
+        assert results[-1].assertions == len(DECLARED)
+
+
+class TestCoverageRow:
+    """The coverage row reads the operations off the code, so a new public
+    function, or a check that stops declaring one, fails it by name."""
+
+    @staticmethod
+    def coverage(monkeypatch, ops) -> CheckResult:
+        import bregperm.verify
+
+        monkeypatch.setattr(bregperm.verify, "_CHECKS", (("stub", lambda full, expect: "ok", tuple(ops)),))
+        return run_checks("full")[-1]
+
+    def test_new_library_function_fails_until_declared(self, monkeypatch):
+        import bregperm.stein
+
+        assert self.coverage(monkeypatch, DECLARED).passed
+
+        def k_cycle_law(n, k):
+            return n, k
+
+        k_cycle_law.__module__ = "bregperm.stein"
+        monkeypatch.setattr(bregperm.stein, "k_cycle_law", k_cycle_law, raising=False)
+        row = self.coverage(monkeypatch, DECLARED)
+        assert not row.passed
+        assert row.detail == "not exercised: stein.k_cycle_law"
+
+    def test_dropped_declaration_fails(self, monkeypatch):
+        row = self.coverage(monkeypatch, DECLARED - {"bijection.composition_to_index"})
+        assert not row.passed
+        assert row.detail == "not exercised: bijection.composition_to_index"
 
 
 class TestFailurePath:
