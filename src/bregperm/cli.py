@@ -2,12 +2,14 @@
 bounds, sampling, the composition bijection, and the verification suites.
 
 Every command prints enough metadata (command, arguments, seed, version) to
-reproduce its output exactly.  Exact rationals render as ``p/q``; floats
-appear only in human-facing summary lines, at six significant digits.
-Tables are RFC-4180 CSV with a header row and LF line endings.
+reproduce its output exactly.  Exact integers print in full at any size,
+exact rationals as ``p/q``; floats appear only in human-facing summary
+lines, at six significant digits.  Tables are RFC-4180 CSV with a header
+row and LF line endings.
 
-Exit codes: 0 success, 1 usage error, 2 verification failure, 3 resource
-cap exceeded.
+Exit codes: 0 success, 1 usage error (any argument the library rejects),
+2 verification failure, 3 resource cap exceeded (``compose to-perm`` builds
+at most 2^20 images).  Exits 1 and 3 print one stderr line and no stdout.
 """
 
 from __future__ import annotations
@@ -34,8 +36,10 @@ from .permanent import ENUMERATE_DEFAULT_CAP, RYSER_DEFAULT_CAP, permanent_enume
 from .stein import CLT_STREAM_VERSION, clt_empirical_test, stein_bound_report
 from .verify import CLT_PUBLISHED_SEED, LEVELS, format_results, run_checks
 
+COMPOSE_CAP = 1 << 20  # images in a `compose to-perm` output
 
-class _UsageError(Exception):
+
+class _UsageError(ValueError):
     """Bad command line; rendered as a usage message with exit code 1."""
 
 
@@ -63,7 +67,7 @@ def parse_b_spec(text: str) -> RestrictionVector:
             r_text, n_text = text[3:].split(",")
             return RestrictionVector.br(int(r_text), int(n_text))
         return RestrictionVector(tuple(int(v) for v in text.split(",")))
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise _UsageError(f"bad restriction spec {text!r}: {exc}") from exc
 
 
@@ -72,21 +76,15 @@ def _parse_k_range(text: str, n: int) -> list[int]:
     try:
         if ":" in text:
             lo_text, hi_text = text.split(":")
-            values = list(range(int(lo_text), int(hi_text) + 1))
+            values: Sequence[int] = range(int(lo_text), int(hi_text) + 1)
         else:
-            values = [int(v) for v in text.split(",")]
+            values = sorted({int(v) for v in text.split(",")})
     except ValueError as exc:
         raise _UsageError(f"bad k range {text!r}: {exc}") from exc
-    if not values or any(not 1 <= k <= n for k in values):
+    # the ends of the sorted values, so a range is only listed once it fits
+    if not values or values[0] < 1 or values[-1] > n:
         raise _UsageError(f"k range {text!r} leaves 1..{n}")
-    return sorted(set(values))
-
-
-def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError as exc:
-        raise _UsageError(f"bad {what} {text!r}: {exc}") from exc
+    return list(values)
 
 
 def _fraction(q: Fraction) -> str:
@@ -127,19 +125,12 @@ def _resolve_b(args: argparse.Namespace) -> RestrictionVector:
         return parse_b_spec(args.b_spec)
     if args.n is None:
         raise _UsageError("give a restriction spec or --n (with optional --r)")
-    r = 2 if args.r is None else args.r
-    try:
-        return RestrictionVector.br(r, args.n)
-    except ValueError as exc:
-        raise _UsageError(f"bad staircase --n {args.n} --r {r}: {exc}") from exc
-
-
-def _check_n_k(args: argparse.Namespace) -> None:
-    if args.k < 1 or args.n < 2 * args.k + 1:
-        raise _UsageError(f"need --k >= 1 and --n >= 2k + 1, got --n {args.n} --k {args.k}")
+    return RestrictionVector.br(2 if args.r is None else args.r, args.n)
 
 
 def _cmd_count(args: argparse.Namespace, argv: Sequence[str]) -> int:
+    if args.method == "product" and args.cap is not None:
+        raise _UsageError("--cap applies only to --method permanent or enumerate")
     b = _resolve_b(args)
     if args.method == "product":
         value = count_b_regular(b)
@@ -157,7 +148,7 @@ def _cmd_count(args: argparse.Namespace, argv: Sequence[str]) -> int:
 def _cmd_moments(args: argparse.Namespace, argv: Sequence[str]) -> int:
     if args.n < 1:
         raise _UsageError(f"need --n >= 1, got {args.n}")
-    ks = _parse_k_range(args.k, args.n) if args.k else list(range(1, args.n + 1))
+    ks = list(range(1, args.n + 1)) if args.k is None else _parse_k_range(args.k, args.n)
     header = ("n", "k", "mean_num", "mean_den", "var_num", "var_den",
               "second_falling_num", "second_falling_den")
     rows = []
@@ -190,7 +181,6 @@ def _cmd_moments(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 
 def _cmd_bound(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    _check_n_k(args)
     report = stein_bound_report(args.n, args.k)
     _emit_meta(sys.stdout, "bound", argv)
     print(f"n={report.n}")
@@ -207,11 +197,6 @@ def _cmd_bound(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 
 def _cmd_clt(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    _check_n_k(args)
-    if args.samples < 2:
-        raise _UsageError(f"need --samples >= 2, got {args.samples}")
-    if args.seed < 0:
-        raise _UsageError(f"need --seed >= 0, got {args.seed}")
     report = clt_empirical_test(args.n, args.k, args.samples, args.seed)
     header = ("z_lo", "z_hi", "count")
     hist_rows = [(f"{lo:.6g}", f"{hi:.6g}", count) for lo, hi, count in report.histogram]
@@ -251,14 +236,14 @@ def _cmd_sample(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 
 def _cmd_compose(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    values = _parse_int_list(args.input, "input")
-    try:
-        if args.direction == "to-comp":
-            result = perm_to_composition(Permutation(values)).parts
-        else:
-            result = composition_to_perm(Composition(values)).images
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    values = tuple(int(v) for v in args.input.split(","))
+    if args.direction == "to-comp":
+        result = perm_to_composition(Permutation(values)).parts
+    else:
+        composition = Composition(values)
+        if composition.total > COMPOSE_CAP:  # before the images are built
+            raise CapExceeded("compose to-perm output size", composition.total, COMPOSE_CAP)
+        result = composition_to_perm(composition).images
     _emit_meta(sys.stdout, "compose", argv)
     print(",".join(str(v) for v in result))
     return 0
@@ -334,16 +319,22 @@ _DISPATCH = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    # exact integers print in full; Python 3.10.0-3.10.6 has no digit limit
+    digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        if digit_limit:
+            sys.set_int_max_str_digits(0)
         return _DISPATCH[args.cmd](args, argv)
-    except _UsageError as exc:
+    except (ValueError, OverflowError) as exc:  # a _UsageError or an argument the library rejects
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if digit_limit:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -34,6 +34,8 @@ def permanent_ryser(m: RestrictionMatrix, cap: int = RYSER_DEFAULT_CAP) -> int:
     of the row sums and n!) the walk is repeated modulo odd primes below
     2^31 and the residues are joined by the Chinese remainder theorem.
     """
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
     n = m.n
     if n > cap:
         raise CapExceeded("permanent_ryser matrix dimension", n, cap)
@@ -104,6 +106,8 @@ def permanent_enumerate(m: RestrictionMatrix, cap: int = ENUMERATE_DEFAULT_CAP) 
     Independent oracle for permanent_ryser; factorial cost limits n.  The
     sum is :func:`bregperm.oracles.permanent`, behind a size cap.
     """
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
     if m.n > cap:
         raise CapExceeded("permanent_enumerate matrix dimension", m.n, cap)
     return oracles.permanent(m.rows)

@@ -386,10 +386,13 @@ def clt_empirical_test(n: int, k: int, samples: int, seed: int) -> CltReport:
     Histogram bins are the standardised unit intervals around each integer
     count.
     """
+    _check_indicator_args(n, k)
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     if n < 2 * k + 1:
         raise ValueError(f"need n >= 2k + 1 = {2 * k + 1} for exact moments, got n={n}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, n, k])))
     counts = sample_k_part_counts(n, k, samples, rng)
     mu = mean_k_cycles(n, k)

@@ -7,7 +7,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-from contextlib import redirect_stderr, redirect_stdout
+import sys
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,24 @@ def run(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def digit_limit() -> int:
+    """Python's int/str digit limit; 0 (none) on 3.10.0-3.10.6."""
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+
+
+@contextmanager
+def any_size_ints():
+    """Convert between int and str at any size inside the block, as main() does."""
+    limit = digit_limit()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def kv(text: str) -> dict[str, str]:
@@ -89,6 +108,16 @@ class TestCount:
     def test_cap_zero_is_respected(self, capsys):
         code, _, err = run(capsys, "count", "b2:1", "--method", "permanent", "--cap", "0")
         assert code == 3
+
+    def test_exact_count_prints_at_any_size(self, capsys):
+        # 2^19999 has 6021 digits, past Python's default int-to-str limit,
+        # which main() lifts for the command and then restores
+        limit = digit_limit()
+        code, out, _ = run(capsys, "count", "b2:20000")
+        assert code == 0
+        assert digit_limit() == limit
+        with any_size_ints():
+            assert out.splitlines()[-1] == f"count={2 ** 19999}"
 
     def test_missing_spec_is_usage_error(self, capsys):
         code, _, err = run(capsys, "count")
@@ -161,6 +190,19 @@ class TestMoments:
         code, _, err = run(capsys, "moments", "--n", "5", "--k", "0:9")
         assert code == 1
         assert "usage error" in err
+
+    def test_rows_with_huge_values_are_exact(self, capsys):
+        # the numerators and denominators run past 4300 digits
+        code, out, _ = run(capsys, "moments", "--n", "20000", "--k", "19999")
+        assert code == 0
+        [row] = list(csv.reader(io.StringIO(out)))[1:]
+        mean, falling = extract_factorial_moment(20000, 19999, 1), extract_factorial_moment(20000, 19999, 2)
+        with any_size_ints():
+            n, k, mn, md, vn, vd, sn, sd = map(int, row)
+        assert (n, k) == (20000, 19999)
+        assert Fraction(mn, md) == mean
+        assert Fraction(vn, vd) == falling + mean - mean * mean
+        assert Fraction(sn, sd) == falling
 
 
 class TestBound:
@@ -343,6 +385,12 @@ class TestCompose:
         assert code == 1
         assert "usage error" in err
 
+    def test_to_perm_output_is_capped(self, capsys):
+        code, out, err = run(capsys, "compose", "to-perm", str(2**20 + 1))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("cap exceeded: ") and err.count("\n") == 1
+
 
 class TestVerifyCommand:
     def test_quick_level_passes(self, capsys):
@@ -368,12 +416,18 @@ class TestTopLevel:
             ("count", "--n", "3", "--r", "0"),
             ("sample", "--n", "0"),
             ("moments", "--n", "0"),
+            ("moments", "--n", "5", "--k", "1:100000000000"),  # bounds checked before the range is built
+            ("moments", "--n", "3", "--k="),
             ("compose", "to-perm", "0"),
             ("compose", "to-comp", "3,2,1"),
             ("count", "b2:3", "--n", "5"),
             ("count", "b2:3", "--r", "5"),
             ("sample", "b2:3", "--n", "5"),
             ("sample", "b2:3", "--r", "5"),
+            ("count", "b2:3", "--method", "permanent", "--cap", "-1"),
+            ("count", "b2:3", "--cap", "1"),
+            ("bound", "--n", "1" + "0" * 400, "--k", "1"),
+            ("clt", "--n", "60", "--k", "-1"),
         ],
     )
     def test_out_of_range_sizes_are_usage_errors(self, capsys, argv):
@@ -448,3 +502,21 @@ class TestArgvProperty:
     @given(n=st.integers(-2, 60), k=st.integers(-2, 30))
     def test_bound(self, n, k):
         self.check(["bound", "--n", str(n), "--k", str(k)])
+
+    @settings(deadline=None, max_examples=60)
+    @given(n=st.integers(-2, 60), k=st.integers(-2, 30), samples=st.integers(-2, 50),
+           seed=st.integers(-3, 3), fmt=st.sampled_from(["csv", "kv"]))
+    def test_clt(self, n, k, samples, seed, fmt):
+        self.check(["clt", "--n", str(n), "--k", str(k), "--samples", str(samples),
+                    "--seed", str(seed), "--format", fmt])
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data(), samples=st.integers(-2, 50), seed=st.integers(-3, 3))
+    def test_sample(self, data, samples, seed):
+        n = data.draw(st.integers(-1, 8))
+        spec = data.draw(st.one_of(
+            st.sampled_from([f"b2:{n}", f"b3:{n}", f"b2:{n}x", "br:3"]),
+            st.integers(-1, 4).map(lambda r: f"br:{r},{n}"),
+            int_lists(-1, 8, 8),
+        ))
+        self.check(["sample", spec, "--samples", str(samples), "--seed", str(seed)])

@@ -51,6 +51,10 @@ class TestPermanentRyser:
         assert permanent_ryser(m, cap=12) == 2048
         assert RYSER_DEFAULT_CAP == 30
 
+    def test_negative_cap_is_an_argument_error(self):
+        with pytest.raises(ValueError, match="cap must be >= 0, got -1"):
+            permanent_ryser(matrix_from_vector(RestrictionVector.b2(3)), cap=-1)
+
     def test_residues_join_past_two_to_the_64(self):
         # 21! > 2^64 and the row-sum products are larger still, so both
         # values need a prime residue on top of the one modulo 2^64
@@ -88,6 +92,10 @@ class TestPermanentEnumerate:
         with pytest.raises(CapExceeded):
             permanent_enumerate(m9, cap=8)
         assert permanent_enumerate(m9) == 256
+
+    def test_negative_cap_is_an_argument_error(self):
+        with pytest.raises(ValueError, match="cap must be >= 0, got -1"):
+            permanent_enumerate(matrix_from_vector(RestrictionVector.b2(3)), cap=-1)
 
     @given(strategies.zero_one_matrices(max_n=5))
     @settings(deadline=None, max_examples=40)

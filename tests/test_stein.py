@@ -272,6 +272,13 @@ class TestCltRun:
         with pytest.raises(ValueError):
             clt_empirical_test(60, 1, 1, 0)
 
+    def test_bad_seed_and_k_are_checked_before_seeding(self):
+        # one-line messages, not numpy's "expected non-negative integer"
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            clt_empirical_test(60, 1, 100, -1)
+        with pytest.raises(ValueError, match=r"^k must be >= 1, got -1$"):
+            clt_empirical_test(60, -1, 100, 42)
+
 
 class TestCompositionView:
     def test_matches_direct_cycle_count(self):
