@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import random
 import sys
 from fractions import Fraction
@@ -256,7 +257,9 @@ def _cmd_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
     return 0 if all(res.passed for res in results) else 2
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="bregperm", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="cmd", required=True)
 

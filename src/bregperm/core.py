@@ -155,7 +155,9 @@ class Permutation:
         n = len(images)
         if n < 1:
             raise ValueError("permutation must act on at least one element")
-        if sorted(images) != list(range(1, n + 1)):
+        # n distinct values that include all of 1..n are exactly 1..n
+        seen = set(images)
+        if len(seen) != n or not seen.issuperset(range(1, n + 1)):
             raise ValueError(f"images are not a rearrangement of 1..{n}: {images}")
 
     @property

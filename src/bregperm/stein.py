@@ -283,18 +283,20 @@ def standard_normal_cdf(z: float) -> float:
 def _shift_into(dst: np.ndarray, src: np.ndarray, s: int, scratch: np.ndarray) -> None:
     """dst = src >> s, each row read as one LSB-first multiword integer.
 
-    Rows end in a spare zero word, so the flat row-major buffer can be
-    shifted in one pass: a word borrows its high bits from the next word,
-    and the last real word borrows zeros.  What crossed into the next row
-    lands in the last q + 1 words of each row, which are zeroed again.
+    The flat row-major buffer is shifted in one pass, each word borrowing
+    its high bits from the next word.  Only the last q + 1 words of a row
+    borrow across its end, so they are set again: the row's last word
+    shifted by the bit offset, then zeros.
     """
     q, r = divmod(s, 64)
+    width = src.shape[1]
     d, a, t = dst.reshape(-1), src.reshape(-1), scratch.reshape(-1)
     size = a.size
     np.right_shift(a[q:], r, out=d[: size - q])
     np.left_shift(a[q + 1 :], 64 - r, out=t[: size - q - 1])  # numpy: x << 64 == 0
     np.bitwise_or(d[: size - q - 1], t[: size - q - 1], out=d[: size - q - 1])
-    dst[:, src.shape[1] - 1 - q :] = 0
+    np.right_shift(src[:, width - 1], r, out=dst[:, width - 1 - q])
+    dst[:, width - q :] = 0
 
 
 def sample_k_part_counts(n: int, k: int, samples: int, rng: np.random.Generator) -> np.ndarray:
@@ -313,13 +315,15 @@ def sample_k_part_counts(n: int, k: int, samples: int, rng: np.random.Generator)
     by doubling, in O(log k) shifts.
 
     The words are processed in blocks of rows small enough for four
-    W + 1 word arrays to stay in a core's L2 cache.  Those arrays are
-    allocated once per call, and every shift, AND, invert and popcount
-    writes into them.  Each block draws its (rows, W) words with one
-    full-range `integers` call, which takes exactly one 64-bit generator
-    output per word, so the blocks read the stream as one draw of
-    (samples, W) words would: the seeded counts do not depend on the block
-    size.
+    (rows, W) arrays to stay in a core's L2 cache.  Each block draws its
+    words with one full-range `integers` call, which takes exactly one
+    64-bit generator output per word, so the blocks read the stream as one
+    draw of (samples, W) words would: the seeded counts do not depend on
+    the block size.  Every shift, AND, invert and popcount writes into the
+    drawn array or into three arrays allocated once per call.  A word holds
+    at most 64 hits, so its popcount goes into a byte-wide view of the
+    scratch array, and the row sums accumulate in int64 straight into the
+    result.
 
     Raises CapExceeded before allocating anything when samples * W words
     exceed a fixed budget.
@@ -331,12 +335,14 @@ def sample_k_part_counts(n: int, k: int, samples: int, rng: np.random.Generator)
     if samples * width > _SAMPLE_WORD_BUDGET:
         raise CapExceeded("sample_k_part_counts random words", samples * width, _SAMPLE_WORD_BUDGET)
     out = np.empty(samples, dtype=np.int64)
-    rows = max(1, min(_BLOCK_BYTES // (8 * (width + 1)), samples))
-    c, free, hits, scratch = (np.zeros((rows, width + 1), dtype=np.uint64) for _ in range(4))
+    rows = max(1, min(_BLOCK_BYTES // (8 * width), samples))
+    free, hits, scratch = (np.empty((rows, width), dtype=np.uint64) for _ in range(3))
+    # contiguous bytes at the front of scratch, free once the hits are found
+    popcounts = scratch.reshape(-1).view(np.uint8)[: rows * width].reshape(rows, width)
     for pos in range(0, samples, rows):
         m = min(rows, samples - pos)
-        cb, fb, hb, sb = c[:m], free[:m], hits[:m], scratch[:m]
-        cb[:, :width] = rng.integers(0, 2**64, size=(m, width), dtype=np.uint64)
+        fb, hb, sb = free[:m], hits[:m], scratch[:m]
+        cb = rng.integers(0, 2**64, size=(m, width), dtype=np.uint64)
         cb[:, 0] |= np.uint64(1)
         last = cb[:, width - 1]
         np.bitwise_and(last, np.uint64((2 << top) - 1), out=last)
@@ -346,7 +352,6 @@ def sample_k_part_counts(n: int, k: int, samples: int, rng: np.random.Generator)
         if k > 1:
             # c is spent once inverted, so it holds each shifted copy of free
             np.invert(cb, out=fb)
-            fb[:, width] = 0
             span = 1  # bit p of free: no cut at p .. p+span-1
             while span < k - 1:
                 _shift_into(cb, fb, min(span, k - 1 - span), sb)
@@ -354,8 +359,8 @@ def sample_k_part_counts(n: int, k: int, samples: int, rng: np.random.Generator)
                 span = min(2 * span, k - 1)
             _shift_into(cb, fb, 1, sb)
             np.bitwise_and(hb, cb, out=hb)
-        np.bitwise_count(hb, out=sb)
-        np.add.reduce(sb, axis=1, out=out[pos : pos + m])
+        np.bitwise_count(hb, out=popcounts[:m])
+        np.add.reduce(popcounts[:m], axis=1, dtype=np.int64, out=out[pos : pos + m])
     return out
 
 
@@ -383,8 +388,9 @@ def clt_empirical_test(n: int, k: int, samples: int, seed: int) -> CltReport:
     the standard normal.
 
     The random stream is derived deterministically from (seed, n, k).
-    Histogram bins are the standardised unit intervals around each integer
-    count.
+    The counts are tallied with `np.bincount`, so the observed values come
+    out ascending without a sort.  Histogram bins are the standardised unit
+    intervals around each observed integer count.
     """
     _check_indicator_args(n, k)
     if samples < 2:
@@ -400,7 +406,9 @@ def clt_empirical_test(n: int, k: int, samples: int, seed: int) -> CltReport:
     dw = wasserstein_bound(n, k)
     mu_f = float(mu)
     sigma_f = math.sqrt(float(sigma2))
-    values, freq = np.unique(counts, return_counts=True)
+    tally = np.bincount(counts)
+    values = np.flatnonzero(tally)
+    freq = tally[values]
     cum = np.cumsum(freq)
     ks = 0.0
     for idx, v in enumerate(values):

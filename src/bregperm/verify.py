@@ -679,7 +679,7 @@ def run_checks(level: str) -> list[CheckResult]:
         results.append(CheckResult(
             "coverage: operation checklist",
             not missing,
-            "every public operation exercised" if not missing else f"not exercised: {', '.join(missing)}",
+            "every public function exercised" if not missing else f"not exercised: {', '.join(missing)}",
             len(wanted),
             0.0,
         ))

@@ -445,6 +445,43 @@ class TestTopLevel:
         assert code == 1
 
 
+class TestParserReuse:
+    """main() builds its parser once per process; a reused parser must
+    answer every call, errors and --help included, as a fresh one does."""
+
+    SEQUENCE = (
+        ("clt", "--n", "60"),  # a parser-level usage error
+        ("--help",),
+        ("count", "b2:5"),
+        ("clt", "--n", "2000", "--k", "1", "--samples", "100000", "--seed", "42", "--format", "csv"),
+    )
+
+    @staticmethod
+    def outcome(capsys, argv) -> tuple[object, str, str]:
+        try:
+            code: object = main(list(argv))
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_parser_is_built_once(self):
+        from bregperm.cli import build_parser
+
+        assert build_parser() is build_parser()
+
+    def test_reused_parser_matches_a_first_call(self, capsys):
+        from bregperm.cli import build_parser
+
+        first = []
+        for argv in self.SEQUENCE:
+            build_parser.cache_clear()
+            first.append(self.outcome(capsys, argv))
+        assert [code for code, _, _ in first] == [1, ("exit", 0), 0, 0]
+        for _ in range(2):  # the second pass starts from a parser that served the whole sequence
+            assert [self.outcome(capsys, argv) for argv in self.SEQUENCE] == first
+
+
 def int_lists(lo: int, hi: int, max_size: int) -> st.SearchStrategy[str]:
     """Comma-joined lists of integers in [lo, hi], possibly empty."""
     return st.lists(st.integers(lo, hi), max_size=max_size).map(lambda v: ",".join(map(str, v)))

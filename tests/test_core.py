@@ -120,10 +120,10 @@ class TestPermutation:
         assert p.image(1) == 2 and p.image(3) == 3
         with pytest.raises(IndexError):
             p.image(0)
-        with pytest.raises(ValueError, match="rearrangement"):
-            Permutation((1, 1, 3))
-        with pytest.raises(ValueError, match="rearrangement"):
-            Permutation((0, 1, 2))
+        # a duplicate, 0, n + 1, a non-integer, mixed types: ValueError, never TypeError
+        for images in ((1, 1, 3), (2, 3, 1, 3), (0, 1, 2), (1, 2, 4), (3, 1), (1, 1.5), ("a", 1), (1, "2")):
+            with pytest.raises(ValueError, match="rearrangement"):
+                Permutation(images)
         with pytest.raises(ValueError):
             Permutation(())
 

@@ -226,11 +226,22 @@ class TestSampling:
     @pytest.mark.parametrize("n", (63, 64, 65, 2000))
     def test_blocks_concatenate_to_one_draw(self, n):
         # two full blocks and a partial one; k >= 64 shifts by whole words
-        draws = 2 * (_BLOCK_BYTES // (8 * ((n + 64) // 64 + 1))) + 37
+        draws = 2 * (_BLOCK_BYTES // (8 * ((n + 64) // 64))) + 37
         for k in (1, 2, 3, 64, 65, 70):
             if k <= n:
                 got = sample_k_part_counts(n, k, draws, np.random.default_rng(k))
                 assert got.tolist() == unpacked_reference(n, k, draws, k)
+
+    def test_row_sums_accumulate_past_a_byte(self):
+        # every bit a cut: 64 hits per word, n = 2000 one-parts per row
+        class AllCuts:
+            @staticmethod
+            def integers(low, high, size, dtype):
+                return np.full(size, np.iinfo(dtype).max, dtype=dtype)
+
+        counts = sample_k_part_counts(2000, 1, 5, AllCuts())
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [2000] * 5
 
     def test_word_budget_is_checked_before_allocating(self):
         with pytest.raises(CapExceeded, match="random words"):
@@ -259,6 +270,19 @@ class TestCltRun:
         # deterministic: the same seed reproduces the same statistic
         again = clt_empirical_test(60, 1, 5000, 123)
         assert again.ks_stat == rep.ks_stat
+
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    def test_histogram_tallies_like_a_sorted_unique(self, k):
+        n, samples = 60, 3000
+        for seed in (0, 7, 42):
+            rep = clt_empirical_test(n, k, samples, seed)
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, n, k])))
+            values, freq = np.unique(sample_k_part_counts(n, k, samples, rng), return_counts=True)
+            mu, sigma = float(rep.mu), math.sqrt(float(rep.sigma2))
+            assert rep.histogram == tuple(
+                ((float(v) - 0.5 - mu) / sigma, (float(v) + 0.5 - mu) / sigma, int(c))
+                for v, c in zip(values, freq)
+            )
 
     def test_histogram_bins_are_unit_intervals(self):
         rep = clt_empirical_test(40, 2, 2000, 7)

@@ -1,6 +1,7 @@
 """The self-contained cross-verification suite: structure of its results,
 the pinned check set, and a full-level run requiring every check to pass
-and every public operation to be exercised."""
+and every public module-level function (and CLI subcommand) to be
+exercised; methods of the value types are outside that checklist."""
 
 from __future__ import annotations
 
