@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Exact k-cycle moments: generating series against closed forms.
+"""Exact k-cycle moments: the marked-parts closed form against the paper's.
 
 The number of k-cycles of a uniform one-subdiagonal permutation has exact
-rational moments.  The generating function in u and (x - 1), read off by an
-integer recurrence, yields every falling moment; short closed forms cover
-the mean and the variance on explicit validity ranges.  This walk prints
-both and shows exactly where the closed forms stop being the truth.
+rational moments.  Counting compositions with m marked parts of size k
+gives every falling moment, m! S(n - m k, m) / 2^(n-1), for every n, k and
+m; the paper's short closed forms cover the mean and the variance where
+n - m k >= 1.  This walk prints both and shows exactly where the paper's
+forms stop being the truth.
 """
 
 from __future__ import annotations
@@ -31,15 +32,15 @@ def enumeration_mean(n: int, k: int) -> Fraction:
 
 
 def main() -> None:
-    print("== The tracked series ==")
-    print("  k = 2; the coefficient of u^n (x-1)^m times m! is the m-th")
-    print("  falling moment of the 2-cycle count.")
-    print("  at x = 1 the series must collapse to u + u^2 + u^3 + ...:")
-    print(f"    coefficients of u^1..u^8 at x=1: {[str(extract_factorial_moment(n, 2, 0)) for n in range(1, 9)]}")
-    print("  mean number of 2-cycles at size n (coefficient of (x-1)^1);")
+    print("== Marked parts ==")
+    print("  k = 2; m! times the compositions of n with m marked 2-parts,")
+    print("  over 2^(n-1), is the m-th falling moment of the 2-cycle count.")
+    print("  with no marks (m = 0) it is the total mass, 1 at every size:")
+    print(f"    m = 0 at n = 1..8: {[str(extract_factorial_moment(n, 2, 0)) for n in range(1, 9)]}")
+    print("  mean number of 2-cycles at size n (m = 1);")
     print("  note n=2 is the k=n edge where the closed form differs (see below):")
     for n in range(2, 9):
-        print(f"    n={n}: series {str(extract_factorial_moment(n, 2, 1)):>6}"
+        print(f"    n={n}: exact {str(extract_factorial_moment(n, 2, 1)):>6}"
               f"   closed form {str(mean_k_cycles(n, 2)):>6}"
               f"   enumeration {str(enumeration_mean(n, 2)):>6}")
 
@@ -56,7 +57,7 @@ def main() -> None:
     print("  full cycle appears once in 2^(n-1) draws:")
     for n in (4, 6, 8):
         truth = extract_factorial_moment(n, n, 1)
-        print(f"    n=k={n}: series {str(truth):>7}, closed form {str(mean_k_cycles(n, n)):>7}")
+        print(f"    n=k={n}: exact {str(truth):>7}, closed form {str(mean_k_cycles(n, n)):>7}")
 
     print("\n  E[C(C-1)] = (n+2-2k)(n+7-2k)/4^(k+1): exact iff n >= 2k+1.")
     print("  Inside k+2 <= n <= 2k two k-windows barely fit or not at all:")
@@ -64,13 +65,13 @@ def main() -> None:
         truth = extract_factorial_moment(n, k, 2)
         formula = second_falling_moment(n, k)
         marker = "==" if truth == formula else "!="
-        print(f"    (n={n}, k={k}): series {str(truth):>5} {marker} formula {str(formula):>6}"
+        print(f"    (n={n}, k={k}): exact {str(truth):>5} {marker} formula {str(formula):>6}"
               f"   predicate says exact: {second_falling_formula_is_exact(n, k)}")
     print("  the validity predicates make the ranges queryable:")
     print(f"    mean_formula_is_exact(10, 9)  = {mean_formula_is_exact(10, 9)}")
     print(f"    mean_formula_is_exact(10, 10) = {mean_formula_is_exact(10, 10)}")
 
-    print("\n== High moments come from the same series ==")
+    print("\n== High moments come from the same closed form ==")
     n, k = 20, 1
     print(f"  falling moments E[C (C-1) ... (C-m+1)] at n={n}, k={k}:")
     for m in range(0, 5):

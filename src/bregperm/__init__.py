@@ -4,9 +4,9 @@ The package counts, enumerates, samples and analyses the families S_b of
 permutations satisfying pi(i) >= b_i for a non-decreasing restriction
 vector b, with exact integer and rational arithmetic throughout.  The
 one-subdiagonal staircase family (pi(i) >= i - 1) gets the full treatment:
-a bijection with integer compositions, exact cycle-count moments read off
-the bivariate generating function by a scaled integer recurrence, and a
-quantified normal approximation for the k-cycle count.
+a bijection with integer compositions, exact cycle-count moments of every
+order from one closed form that counts marked parts, and a quantified
+normal approximation for the k-cycle count.
 """
 
 from .core import (

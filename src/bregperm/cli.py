@@ -26,13 +26,7 @@ from . import __version__
 from .bijection import composition_to_perm, perm_to_composition
 from .bregular import count_b_regular, sample_b_regular
 from .core import CapExceeded, Composition, Permutation, RestrictionVector, matrix_from_vector
-from .cycindex import (
-    extract_factorial_moment,
-    mean_formula_is_exact,
-    mean_k_cycles,
-    second_falling_formula_is_exact,
-    second_falling_moment,
-)
+from .cycindex import extract_factorial_moment
 from .permanent import ENUMERATE_DEFAULT_CAP, RYSER_DEFAULT_CAP, permanent_enumerate, permanent_ryser
 from .stein import CLT_STREAM_VERSION, clt_empirical_test, stein_bound_report
 from .verify import CLT_PUBLISHED_SEED, LEVELS, format_results, run_checks
@@ -154,15 +148,7 @@ def _cmd_moments(args: argparse.Namespace, argv: Sequence[str]) -> int:
               "second_falling_num", "second_falling_den")
     rows = []
     for k in ks:
-        # closed forms only where they are exact; the series everywhere else
-        if mean_formula_is_exact(args.n, k):
-            mean = mean_k_cycles(args.n, k)
-        else:
-            mean = extract_factorial_moment(args.n, k, 1)
-        if second_falling_formula_is_exact(args.n, k):
-            sf = second_falling_moment(args.n, k)
-        else:
-            sf = extract_factorial_moment(args.n, k, 2)
+        mean, sf = extract_factorial_moment(args.n, k, 1), extract_factorial_moment(args.n, k, 2)
         var = sf + mean - mean * mean
         rows.append((args.n, k, mean.numerator, mean.denominator,
                      var.numerator, var.denominator, sf.numerator, sf.denominator))

@@ -13,42 +13,27 @@ share each n.  Substituting x = 1 collapses G to u / (1 - u), total mass 1
 per size.
 
 With y = x - 1, the coefficient of u^n y^m times m! is exactly the m-th
-falling (factorial) moment of the k-cycle count.  Scaling row n by 2^n makes
-every coefficient an integer: H_n = 2^n [u^n] G satisfies H_0 = 0 and
+falling (factorial) moment of the k-cycle count.  It has a closed form for
+every n, k and m, from counting marked parts.  Since (C)_m = m! C(C, m),
+E[(C)_m] is m! / 2^(n-1) times the number of pairs (composition of n, set of
+m of its parts of size k).  Delete the m marked parts: what is left is a
+composition of N = n - m k into some j free parts, C(N - 1, j - 1) ways, and
+the marked parts interleave with the free ones in C(m + j, m) ways.
+Expanding C(m + j, m) = sum_t C(m + 1, t + 1) C(j - 1, t) by Vandermonde and
+summing over j leaves
 
-    H_n = 2 + 2 [n = k] y + sum_{j < n} H_j + y H_{n-k}   (last term for n > k),
+    S(N, m) = sum_{t=0}^{min(m, N-1)} C(m + 1, t + 1) C(N - 1, t) 2^(N-1-t)
 
-which is G = 2T + T G read coefficientwise.  Truncating every H_j after y^m
-is an ideal truncation (it commutes with sums and with the shift by y), so
-the y^m coefficient stays exact; truncating in powers of x instead would
-silently drop the high-degree terms that feed every moment.  With a running
-prefix sum the recurrence costs O(n m) integer additions.
+pairs for N >= 1, S(0, m) = 1 (only the composition (k, ..., k)) and
+S(N, m) = 0 for N < 0, so E[(C)_m] = m! S(n - m k, m) / 2^(n-1).  The
+paper's closed forms below are the m = 1 and m = 2 cases of this sum at
+N >= 1, which is exactly where each of them holds.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from fractions import Fraction
-
-
-def _scaled_row(n: int, k: int, order: int) -> list[int]:
-    """H_n of the module docstring: coefficients of y^0..y^order, integers."""
-    window = deque([[0] * (order + 1)], maxlen=k)  # H_{max(0, j-k)} .. H_{j-1}
-    prefix = [0] * (order + 1)  # sum of H_i for i < j
-    for j in range(1, n + 1):
-        row = prefix.copy()
-        row[0] += 2
-        if j == k and order >= 1:
-            row[1] += 2
-        if len(window) == k:
-            shifted = window[0]  # H_{j-k}
-            for d in range(order):
-                row[d + 1] += shifted[d]
-        for d in range(order + 1):
-            prefix[d] += row[d]
-        window.append(row)
-    return window[-1]
 
 
 def extract_factorial_moment(n: int, k: int, m: int) -> Fraction:
@@ -64,7 +49,13 @@ def extract_factorial_moment(n: int, k: int, m: int) -> Fraction:
         raise ValueError(f"moment order must be >= 0, got {m}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return Fraction(math.factorial(m) * _scaled_row(n, k, m)[m], 1 << n)
+    rest = n - m * k  # N of the module docstring
+    if rest < 0:
+        return Fraction(0)
+    marked = 1 if rest == 0 else sum(
+        math.comb(m + 1, t + 1) * math.comb(rest - 1, t) << (rest - 1 - t) for t in range(min(m, rest - 1) + 1)
+    )
+    return Fraction(math.factorial(m) * marked, 1 << (n - 1))
 
 
 def mean_k_cycles(n: int, k: int) -> Fraction:
@@ -82,9 +73,8 @@ def mean_k_cycles(n: int, k: int) -> Fraction:
 def second_falling_moment(n: int, k: int) -> Fraction:
     """Closed form (n+2-2k)(n+7-2k) / 4^(k+1) for E[C(C-1)].
 
-    Exact for n >= 2k + 1; inside n <= 2k the expression no longer matches
-    the distribution (the verification suite reports those points against
-    the exact series).
+    Exact for n >= 2k + 1; inside n <= 2k it no longer matches
+    extract_factorial_moment(n, k, 2), except at accidental zeros.
 
     >>> second_falling_moment(10, 1)
     Fraction(75, 8)
@@ -114,10 +104,13 @@ def _check_nk(n: int, k: int) -> None:
 
 
 def mean_formula_is_exact(n: int, k: int) -> bool:
-    """Validity range of mean_k_cycles, established against enumeration."""
+    """Validity range of mean_k_cycles: n - m k >= 1 at m = 1, the range
+    where the closed form is the m = 1 case of the module docstring's sum."""
     return 1 <= k <= n - 1
 
 
 def second_falling_formula_is_exact(n: int, k: int) -> bool:
-    """Validity range of second_falling_moment (and hence variance_k_cycles)."""
+    """Validity range of second_falling_moment (and hence variance_k_cycles):
+    n - m k >= 1 at m = 2, the range where the closed form is the m = 2 case
+    of the module docstring's sum."""
     return 1 <= k and n >= 2 * k + 1

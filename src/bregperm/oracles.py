@@ -13,6 +13,7 @@ small sizes.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable
 
@@ -144,6 +145,20 @@ def count_stats(counts: Iterable[int]) -> tuple[Fraction, Fraction, Fraction]:
     mean = Fraction(s1, m)
     second = Fraction(s2, m)
     return mean, second - mean * mean, second - mean
+
+
+def falling_moment(counts: Iterable[int], m: int) -> Fraction:
+    """Exact m-th falling moment E[C (C-1) ... (C-m+1)] of a count C over
+    equally likely objects, one count per object.
+
+    >>> falling_moment([0, 1, 1, 2], 2)
+    Fraction(1, 2)
+    """
+    total = objects = 0
+    for c in counts:
+        objects += 1
+        total += math.perm(c, m)
+    return Fraction(total, objects)
 
 
 def fixed_point_stats(perms: Iterable[tuple[int, ...]]) -> tuple[Fraction, Fraction]:

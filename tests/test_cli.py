@@ -171,9 +171,22 @@ class TestMoments:
         data_rows = out.strip().splitlines()[1:]
         assert [r.split(",")[1] for r in data_rows] == ["1", "3"]
 
+    @pytest.mark.parametrize(
+        "argv, stdout_sha256",
+        [
+            (("--n", "200"), "9bf9580a3d5650cab96770bdb4147d9eb23f64197b378ce11076bc25d219ebde"),
+            (("--n", "10", "--format", "kv"), "6756db615487e97448baf220efba6a5cdcbb9520baa199e094c61f56b3d2f85f"),
+        ],
+    )
+    def test_output_is_pinned(self, capsys, argv, stdout_sha256):
+        # every row, including those where the paper's closed forms fail
+        code, out, _ = run(capsys, "moments", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha256
+
     def test_every_row_is_exact(self, capsys):
-        # closed forms stop being the truth for k > (n - 1) / 2; rows there
-        # must come from the series, so no row may differ from it
+        # the paper's closed forms stop being the truth for k > (n - 1) / 2;
+        # every row, those included, must equal the exact falling moments
         code, out, _ = run(capsys, "moments", "--n", "10")
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))[1:]

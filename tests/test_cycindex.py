@@ -1,5 +1,5 @@
-"""Exact k-cycle moments: extraction from the generating function, and the
-closed forms with their validity predicates."""
+"""Exact k-cycle moments: the marked-parts closed form for every falling
+moment, and the paper's closed forms with their validity predicates."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from bregperm import oracles
 from bregperm.cycindex import (
-    _scaled_row,
     extract_factorial_moment,
     mean_formula_is_exact,
     mean_k_cycles,
@@ -23,11 +22,10 @@ from bregperm.cycindex import (
 
 class TestBuildSeries:
     def test_mass_is_one_per_size(self):
-        # the y^0 column of the scaled rows H_n is 2^n: total mass 1 per size
+        # the y^0 coefficient: S(n, 0) = 2^(n-1) compositions, total mass 1
         for k in (1, 2, 5):
-            assert _scaled_row(0, k, 2) == [0, 0, 0]
             for n in range(1, 13):
-                assert _scaled_row(n, k, 2)[0] == 1 << n
+                assert extract_factorial_moment(n, k, 0) == 1
 
     def test_denominators_are_powers_of_two(self):
         for n in range(1, 15):
@@ -63,6 +61,20 @@ class TestExtractFactorialMoment:
                 mean, _, falling = oracles.cycle_count_stats(fam, k)
                 assert extract_factorial_moment(n, k, 1) == mean
                 assert extract_factorial_moment(n, k, 2) == falling
+
+    def test_matches_composition_enumeration_for_higher_orders(self):
+        # every order m <= 4 and k up to n + 1, the N = n - m k = 0 points included
+        for n in range(1, 15):
+            comps = oracles.compositions(n)
+            for k in range(1, n + 2):
+                counts = [oracles.count_parts(parts, k) for parts in comps]
+                for m in range(5):
+                    assert extract_factorial_moment(n, k, m) == oracles.falling_moment(counts, m), (n, k, m)
+
+    def test_orders_past_n_are_zero_at_once(self):
+        # n - m k < 0: no composition has m parts of size k
+        assert extract_factorial_moment(5, 1, 10**6) == 0
+        assert extract_factorial_moment(5, 3, 2) == 0
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
@@ -118,6 +130,15 @@ class TestClosedForms:
                 fn(5, 6)
             with pytest.raises(ValueError):
                 fn(0, 1)
+
+    @given(st.integers(min_value=1, max_value=10**5), st.data())
+    @settings(deadline=None, max_examples=40)
+    def test_closed_forms_on_their_ranges_at_scale(self, n, data):
+        k = data.draw(st.integers(min_value=1, max_value=n), label="k")
+        if mean_formula_is_exact(n, k):
+            assert extract_factorial_moment(n, k, 1) == mean_k_cycles(n, k)
+        if second_falling_formula_is_exact(n, k):
+            assert extract_factorial_moment(n, k, 2) == second_falling_moment(n, k)
 
     @given(st.integers(min_value=1, max_value=24), st.data())
     @settings(deadline=None, max_examples=40)
