@@ -18,9 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import CapExceeded, Composition, Permutation
-
-ENUMERATE_DEFAULT_CAP = 24
+from .core import _ELEMENT_BUDGET, _ENUMERATION_BUDGET, CapExceeded, Composition, Permutation
 
 
 @dataclass(frozen=True)
@@ -77,12 +75,17 @@ def composition_to_perm(c: Composition) -> Permutation:
     consecutive integers that sends its start to its end and every other
     element one step down.
 
+    Raises CapExceeded before building anything when the n images exceed
+    ``core._ELEMENT_BUDGET`` (2^20).
+
     >>> composition_to_perm(Composition((5,))).images
     (5, 1, 2, 3, 4)
     >>> composition_to_perm(Composition((1, 3, 1, 5))).images
     (1, 4, 2, 3, 5, 10, 6, 7, 8, 9)
     """
     n = c.total
+    if n > _ELEMENT_BUDGET:
+        raise CapExceeded("composition_to_perm images", n, _ELEMENT_BUDGET)
     images = [0] * n
     start = 1
     for part in c.parts:
@@ -126,12 +129,18 @@ def composition_to_index(c: Composition) -> int:
     return index
 
 
-def enumerate_compositions(n: int, cap: int = ENUMERATE_DEFAULT_CAP) -> Iterator[Composition]:
-    """All 2^(n-1) compositions of n in increasing cut-word order."""
+def enumerate_compositions(n: int) -> Iterator[Composition]:
+    """All 2^(n-1) compositions of n in increasing cut-word order.
+
+    Raises CapExceeded at the call when the 2^(n-1) members exceed
+    ``core._ENUMERATION_BUDGET`` (2^22, so n <= 23).  The refusal reports
+    log2 of both, so an astronomical n is refused without building 2^(n-1).
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > cap:
-        raise CapExceeded("enumerate_compositions n", n, cap)
+    log2_budget = _ENUMERATION_BUDGET.bit_length() - 1
+    if n - 1 > log2_budget:
+        raise CapExceeded("enumerate_compositions log2 of members", n - 1, log2_budget)
     return (composition_from_index(n, w) for w in range(1 << (n - 1)))
 
 

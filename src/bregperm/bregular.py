@@ -11,40 +11,51 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import Iterator
 
-from .core import CapExceeded, Permutation, RestrictionVector, cycle_type
+from .core import _ENUMERATION_BUDGET, CapExceeded, Permutation, RestrictionVector, cycle_type
 from .permanent import count_with_fixed_points
 
-ENUMERATE_DEFAULT_CAP = 1 << 22
+_COUNT_BIT_BUDGET = 1 << 20  # bits of an exact count, about 315 653 decimal digits
 
 
 def count_b_regular(b: RestrictionVector) -> int:
     """|S_b| = prod_i (1 + i - b_i), exactly.
+
+    Equal slacks are grouped and raised to their multiplicity, so a
+    staircase costs a few big multiplications, not one per position.
+    Raises CapExceeded, from the slacks alone and before multiplying, when
+    log2 of the count exceeds ``_COUNT_BIT_BUDGET`` (2^20 bits).
 
     >>> count_b_regular(RestrictionVector.b2(5))
     16
     >>> count_b_regular(RestrictionVector((1, 1, 2, 4, 4)))
     8
     """
-    return math.prod(1 + i - bi for i, bi in enumerate(b, start=1))
+    slacks = Counter(1 + i - bi for i, bi in enumerate(b, start=1))
+    bits = math.ceil(sum(m * math.log2(s) for s, m in slacks.items()))
+    if bits > _COUNT_BIT_BUDGET:
+        raise CapExceeded("count_b_regular bits", bits, _COUNT_BIT_BUDGET)
+    return math.prod(s**m for s, m in slacks.items())
 
 
-def enumerate_b_regular(b: RestrictionVector, cap: int = ENUMERATE_DEFAULT_CAP) -> Iterator[Permutation]:
+def enumerate_b_regular(b: RestrictionVector) -> Iterator[Permutation]:
     """Yield every permutation of S_b exactly once.
 
     Positions are filled from n down to 1; at each position the candidate
     values are tried in increasing order, which fixes a deterministic
-    output order.  Cost is linear in the output size.  The size and the cap
-    are checked at the call, before the first member is produced.
+    output order.  Cost is linear in the output size.  Raises CapExceeded
+    at the call, before the first member is produced, when the members
+    exceed ``core._ENUMERATION_BUDGET`` (2^22).
     """
     n = b.n
     if n < 1:
         raise ValueError("enumeration needs n >= 1")
     total = count_b_regular(b)
-    if total > cap:
-        raise CapExceeded("enumerate_b_regular output size", total, cap)
+    if total > _ENUMERATION_BUDGET:
+        raise CapExceeded("enumerate_b_regular members", total, _ENUMERATION_BUDGET)
     return _members(b.entries)
 
 

@@ -8,8 +8,9 @@ lines, at six significant digits.  Tables are RFC-4180 CSV with a header
 row and LF line endings.
 
 Exit codes: 0 success, 1 usage error (any argument the library rejects),
-2 verification failure, 3 resource cap exceeded (``compose to-perm`` builds
-at most 2^20 images).  Exits 1 and 3 print one stderr line and no stdout.
+2 verification failure, 3 resource cap exceeded (the library refuses, before
+the work starts, any operation over its fixed budget).  Exits 1 and 3 print
+one stderr line and no stdout.
 """
 
 from __future__ import annotations
@@ -27,11 +28,9 @@ from .bijection import composition_to_perm, perm_to_composition
 from .bregular import count_b_regular, sample_b_regular
 from .core import CapExceeded, Composition, Permutation, RestrictionVector, matrix_from_vector
 from .cycindex import extract_factorial_moment
-from .permanent import ENUMERATE_DEFAULT_CAP, RYSER_DEFAULT_CAP, permanent_enumerate, permanent_ryser
+from .permanent import permanent_enumerate, permanent_ryser
 from .stein import CLT_STREAM_VERSION, clt_empirical_test, stein_bound_report
 from .verify import CLT_PUBLISHED_SEED, LEVELS, format_results, run_checks
-
-COMPOSE_CAP = 1 << 20  # images in a `compose to-perm` output
 
 
 class _UsageError(ValueError):
@@ -124,15 +123,13 @@ def _resolve_b(args: argparse.Namespace) -> RestrictionVector:
 
 
 def _cmd_count(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    if args.method == "product" and args.cap is not None:
-        raise _UsageError("--cap applies only to --method permanent or enumerate")
     b = _resolve_b(args)
     if args.method == "product":
         value = count_b_regular(b)
     elif args.method == "permanent":
-        value = permanent_ryser(matrix_from_vector(b), cap=RYSER_DEFAULT_CAP if args.cap is None else args.cap)
+        value = permanent_ryser(matrix_from_vector(b))
     else:
-        value = permanent_enumerate(matrix_from_vector(b), cap=ENUMERATE_DEFAULT_CAP if args.cap is None else args.cap)
+        value = permanent_enumerate(matrix_from_vector(b))
     _emit_meta(sys.stdout, "count", argv)
     print(f"b={','.join(str(v) for v in b.entries)}")
     print(f"method={args.method}")
@@ -227,10 +224,7 @@ def _cmd_compose(args: argparse.Namespace, argv: Sequence[str]) -> int:
     if args.direction == "to-comp":
         result = perm_to_composition(Permutation(values)).parts
     else:
-        composition = Composition(values)
-        if composition.total > COMPOSE_CAP:  # before the images are built
-            raise CapExceeded("compose to-perm output size", composition.total, COMPOSE_CAP)
-        result = composition_to_perm(composition).images
+        result = composition_to_perm(Composition(values)).images
     _emit_meta(sys.stdout, "compose", argv)
     print(",".join(str(v) for v in result))
     return 0
@@ -259,7 +253,6 @@ def build_parser() -> _Parser:
     add_b_spec(p_count)
     p_count.add_argument("--method", choices=("product", "permanent", "enumerate"), default="product",
                          help="product formula (default), inclusion-exclusion permanent, or direct enumeration")
-    p_count.add_argument("--cap", type=int, default=None, help="size cap for the non-default methods")
 
     p_moments = sub.add_parser("moments", help="exact k-cycle moment table (CSV)")
     p_moments.add_argument("--n", type=int, required=True)

@@ -13,6 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+# Fixed budgets, each in the unit of the work it bounds, checked before that work starts.
+_ELEMENT_BUDGET = 1 << 20  # entries of a built matrix, or images of a built permutation
+_ENUMERATION_BUDGET = 1 << 22  # members, or summed terms, of an exhaustive enumeration
+
 
 class CapExceeded(RuntimeError):
     """Raised when a computation would exceed a configured resource cap."""
@@ -128,12 +132,17 @@ class RestrictionMatrix:
 def matrix_from_vector(b: RestrictionVector) -> RestrictionMatrix:
     """Row i has ones exactly in columns b_i..n (the staircase of b).
 
+    Raises CapExceeded before building anything when the n^2 entries exceed
+    ``_ELEMENT_BUDGET`` (2^20, so n <= 1024).
+
     >>> matrix_from_vector(RestrictionVector((1, 2))).rows
     ((1, 1), (0, 1))
     """
     n = b.n
     if n < 1:
         raise ValueError("cannot build a matrix for the empty vector")
+    if n * n > _ELEMENT_BUDGET:
+        raise CapExceeded("matrix_from_vector entries", n * n, _ELEMENT_BUDGET)
     return RestrictionMatrix(tuple(tuple(1 if j >= bi else 0 for j in range(1, n + 1)) for bi in b))
 
 

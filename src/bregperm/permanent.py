@@ -13,15 +13,13 @@ from typing import Iterator
 import numpy as np
 
 from . import oracles
-from .core import CapExceeded, RestrictionMatrix, RestrictionVector
+from .core import _ENUMERATION_BUDGET, CapExceeded, RestrictionMatrix, RestrictionVector
 
-RYSER_DEFAULT_CAP = 30
-ENUMERATE_DEFAULT_CAP = 10
-
+_RYSER_BUDGET = 1 << 30  # n * 2^n row-sum updates, so n <= 25
 _LOW_COLUMNS = 12  # columns in the row-sum table; it holds 2^12 subsets
 
 
-def permanent_ryser(m: RestrictionMatrix, cap: int = RYSER_DEFAULT_CAP) -> int:
+def permanent_ryser(m: RestrictionMatrix) -> int:
     """Permanent via Ryser's inclusion-exclusion over column subsets, O(n * 2^n).
 
     perm(M) = sum over column sets S of (-1)^(n-|S|) prod_i (row sum i over S).
@@ -33,12 +31,13 @@ def permanent_ryser(m: RestrictionMatrix, cap: int = RYSER_DEFAULT_CAP) -> int:
     the permanent could reach 2^64 (the bound is the smaller of the product
     of the row sums and n!) the walk is repeated modulo odd primes below
     2^31 and the residues are joined by the Chinese remainder theorem.
+
+    Raises CapExceeded before allocating anything when n * 2^n exceeds
+    ``_RYSER_BUDGET`` (2^30, so n <= 25).
     """
-    if cap < 0:
-        raise ValueError(f"cap must be >= 0, got {cap}")
     n = m.n
-    if n > cap:
-        raise CapExceeded("permanent_ryser matrix dimension", n, cap)
+    if n << n > _RYSER_BUDGET:
+        raise CapExceeded("permanent_ryser n*2^n steps", n << n, _RYSER_BUDGET)
     a = np.array(m.rows, dtype=np.uint64)
     bound = min(math.prod(sum(row) for row in m.rows), math.factorial(n))
     # low-column row sums, even-size subsets first: shape (n, 2^low)
@@ -100,16 +99,16 @@ def _primes_below_2_31() -> Iterator[int]:
             yield c
 
 
-def permanent_enumerate(m: RestrictionMatrix, cap: int = ENUMERATE_DEFAULT_CAP) -> int:
+def permanent_enumerate(m: RestrictionMatrix) -> int:
     """Permanent by summing the product over all n! permutations.
 
-    Independent oracle for permanent_ryser; factorial cost limits n.  The
-    sum is :func:`bregperm.oracles.permanent`, behind a size cap.
+    Independent oracle for permanent_ryser; the sum is
+    :func:`bregperm.oracles.permanent`.  Raises CapExceeded before summing
+    when the n! terms exceed ``core._ENUMERATION_BUDGET`` (2^22, so n <= 10).
     """
-    if cap < 0:
-        raise ValueError(f"cap must be >= 0, got {cap}")
-    if m.n > cap:
-        raise CapExceeded("permanent_enumerate matrix dimension", m.n, cap)
+    terms = math.factorial(m.n)
+    if terms > _ENUMERATION_BUDGET:
+        raise CapExceeded("permanent_enumerate terms", terms, _ENUMERATION_BUDGET)
     return oracles.permanent(m.rows)
 
 

@@ -34,7 +34,7 @@ from .cycindex import mean_k_cycles, variance_k_cycles
 # Bumped whenever the sampler maps a seed to different draws.
 CLT_STREAM_VERSION = 2
 _BLOCK_BYTES = 1 << 18  # per sampler work array: four of them fit a 1 MiB L2
-_SAMPLE_WORD_BUDGET = 1 << 32  # random words per sampler call, ~1300x the published run
+_SAMPLE_WORD_BUDGET = 1 << 28  # drawn plus returned words per sampler call: result < 1 GiB
 
 
 def _segment_count(m: int) -> int:
@@ -325,15 +325,17 @@ def sample_k_part_counts(n: int, k: int, samples: int, rng: np.random.Generator)
     scratch array, and the row sums accumulate in int64 straight into the
     result.
 
-    Raises CapExceeded before allocating anything when samples * W words
-    exceed a fixed budget.
+    Raises CapExceeded before allocating anything when samples * (W + 1)
+    words, the random words plus the int64 result, exceed
+    ``_SAMPLE_WORD_BUDGET`` (2^28: about 8.1 * 10^6 draws at n = 2000).
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     _check_indicator_args(n, k)
     width, top = (n + 64) // 64, n % 64
-    if samples * width > _SAMPLE_WORD_BUDGET:
-        raise CapExceeded("sample_k_part_counts random words", samples * width, _SAMPLE_WORD_BUDGET)
+    words = samples * (width + 1)
+    if words > _SAMPLE_WORD_BUDGET:
+        raise CapExceeded("sample_k_part_counts random words and result words", words, _SAMPLE_WORD_BUDGET)
     out = np.empty(samples, dtype=np.int64)
     rows = max(1, min(_BLOCK_BYTES // (8 * width), samples))
     free, hits, scratch = (np.empty((rows, width), dtype=np.uint64) for _ in range(3))

@@ -61,6 +61,11 @@ class TestBothDirections:
             for p in enumerate_b_regular(RestrictionVector.b2(n)):
                 assert composition_to_perm(perm_to_composition(p)) == p
 
+    def test_to_perm_is_capped_before_building(self):
+        with pytest.raises(CapExceeded) as info:
+            composition_to_perm(Composition((1, 1 << 20)))
+        assert (info.value.needed, info.value.cap) == ((1 << 20) + 1, 1 << 20)
+
     def test_blocks_become_cycles(self):
         c = Composition((2, 3, 1))
         p = composition_to_perm(c)
@@ -108,8 +113,12 @@ class TestEnumerateCompositions:
             assert oracles.compositions(n) == sorted(c.parts for c in comps)
 
     def test_cap(self):
-        with pytest.raises(CapExceeded):
-            enumerate_compositions(25)
+        # 2^(n-1) members against a 2^22 budget, reported as log2 of both
+        assert next(enumerate_compositions(23)).parts == (23,)
+        for n in (24, 10**18):
+            with pytest.raises(CapExceeded) as info:
+                enumerate_compositions(n)
+            assert (info.value.needed, info.value.cap) == (n - 1, 22)
 
 
 class TestTotalKParts:

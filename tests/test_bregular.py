@@ -40,6 +40,17 @@ class TestCount:
     def test_anchor(self):
         assert count_b_regular(RestrictionVector((1, 1, 2, 4, 4))) == 8
 
+    def test_bit_budget_is_checked_before_multiplying(self):
+        # b2(n) counts 2^(n-1): n - 1 = 2^20 bits is the largest admitted
+        assert count_b_regular(RestrictionVector.b2((1 << 20) + 1)) == 1 << (1 << 20)
+        with pytest.raises(CapExceeded) as info:
+            count_b_regular(RestrictionVector.b2((1 << 20) + 2))
+        assert (info.value.needed, info.value.cap) == ((1 << 20) + 1, 1 << 20)
+        # grouping equal slacks does not shrink n!, about 1.5 * 10^6 bits at n = 10^5
+        with pytest.raises(CapExceeded) as info:
+            count_b_regular(RestrictionVector((1,) * 10**5))
+        assert info.value.needed == 1516705  # ceil(log2(10^5!))
+
     @given(strategies.restriction_vectors(max_n=7))
     @settings(deadline=None, max_examples=60)
     def test_matches_filter_oracle(self, b):
@@ -62,10 +73,11 @@ class TestEnumerate:
         assert len(set(first)) == len(first) == 64
 
     def test_cap_checked_before_iteration(self):
-        b = RestrictionVector.b2(10)
+        # 2^23 members, twice the 2^22 budget
         with pytest.raises(CapExceeded) as info:
-            enumerate_b_regular(b, cap=100)
-        assert info.value.needed == 512
+            enumerate_b_regular(RestrictionVector.b2(24))
+        assert info.value.needed == 1 << 23
+        assert info.value.cap == 1 << 22
 
     def test_empty_vector_rejected(self):
         with pytest.raises(ValueError):

@@ -99,15 +99,22 @@ class TestCount:
             assert kv(out)["count"] == "128"
 
     def test_cap_exit_code(self, capsys):
-        code, _, err = run(capsys, "count", "b2:12", "--method", "enumerate")
-        assert code == 3
-        assert "cap exceeded" in err
-        code, _, err = run(capsys, "count", "b2:12", "--method", "permanent", "--cap", "11")
-        assert code == 3
+        for argv in (
+            ("b2:11", "--method", "enumerate"),  # 11! terms
+            ("b2:26", "--method", "permanent"),  # 26 * 2^26 Ryser steps
+            ("b2:1100000",),  # 1 099 999 bits of count
+        ):
+            code, out, err = run(capsys, "count", *argv)
+            assert code == 3
+            assert out == ""
+            assert err.startswith("cap exceeded: ") and err.count("\n") == 1
 
-    def test_cap_zero_is_respected(self, capsys):
-        code, _, err = run(capsys, "count", "b2:1", "--method", "permanent", "--cap", "0")
-        assert code == 3
+    def test_matrix_is_refused_before_it_is_built(self, capsys):
+        for method in ("permanent", "enumerate"):
+            code, out, err = run(capsys, "count", "b2:100000", "--method", method)
+            assert code == 3
+            assert out == ""
+            assert err == "cap exceeded: matrix_from_vector entries needs 10000000000, exceeding the cap of 1048576\n"
 
     def test_exact_count_prints_at_any_size(self, capsys):
         # 2^19999 has 6021 digits, past Python's default int-to-str limit,
@@ -300,10 +307,11 @@ class TestClt:
 
 
     def test_sample_budget_is_a_cap_error(self, capsys):
-        code, out, err = run(capsys, "clt", "--n", "10", "--k", "1", "--samples", str(2**62))
-        assert code == 3
-        assert out == ""
-        assert err.startswith("cap exceeded: ") and err.count("\n") == 1
+        for samples in (2**31, 2**62):
+            code, out, err = run(capsys, "clt", "--n", "10", "--k", "1", "--samples", str(samples))
+            assert code == 3
+            assert out == ""
+            assert err.startswith("cap exceeded: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "k, stdout_sha256, stats",
@@ -399,7 +407,7 @@ class TestCompose:
         assert "usage error" in err
 
     def test_to_perm_output_is_capped(self, capsys):
-        code, out, err = run(capsys, "compose", "to-perm", str(2**20 + 1))
+        code, out, err = run(capsys, "compose", "to-perm", "1000000000000")
         assert code == 3
         assert out == ""
         assert err.startswith("cap exceeded: ") and err.count("\n") == 1
@@ -503,7 +511,8 @@ def int_lists(lo: int, hi: int, max_size: int) -> st.SearchStrategy[str]:
 class TestArgvProperty:
     """Any argv of these shapes ends in exit 0, 1 or 3 without a traceback;
     a nonzero exit prints nothing on stdout and one line on stderr.  Sizes
-    stay small so every example is fast."""
+    are drawn small or past the library's caps, which refuse before any
+    work, so every example is fast; sizes admitted but slow are not drawn."""
 
     @staticmethod
     def check(argv: list[str]) -> None:
@@ -520,7 +529,9 @@ class TestArgvProperty:
     @given(data=st.data(), method=st.sampled_from(["product", "permanent", "enumerate"]))
     def test_count(self, data, method):
         top = 8 if method == "enumerate" else 12
-        n = data.draw(st.integers(-1, top))
+        # the first size refused: 11! enumeration terms, 26 * 2^26 Ryser steps
+        refused = {"product": top + 1, "enumerate": 11, "permanent": 26}[method]
+        n = data.draw(st.integers(-1, top) | st.integers(refused, 10**5))
         spec = data.draw(st.one_of(
             st.sampled_from([f"b2:{n}", f"b3:{n}", f"b2:{n}x", "br:3"]),
             st.integers(-1, 4).map(lambda r: f"br:{r},{n}"),
@@ -528,14 +539,12 @@ class TestArgvProperty:
         ))
         argv = ["count", spec, "--method", method]
         if data.draw(st.booleans()):
-            argv += ["--cap", str(data.draw(st.integers(-1, top)))]
-        if data.draw(st.booleans()):
             argv += ["--r", str(data.draw(st.integers(-1, 4)))]
         self.check(argv)
 
     @settings(deadline=None, max_examples=80)
     @given(direction=st.sampled_from(["to-comp", "to-perm"]),
-           text=st.one_of(int_lists(-2, 12, 10), st.text("0123456789,x", max_size=8)))
+           text=st.one_of(int_lists(-2, 12, 10), int_lists(-2, 10**15, 4), st.text("0123456789,x", max_size=8)))
     def test_compose(self, direction, text):
         self.check(["compose", direction, text])
 
@@ -554,7 +563,8 @@ class TestArgvProperty:
         self.check(["bound", "--n", str(n), "--k", str(k)])
 
     @settings(deadline=None, max_examples=60)
-    @given(n=st.integers(-2, 60), k=st.integers(-2, 30), samples=st.integers(-2, 50),
+    @given(n=st.integers(-2, 60), k=st.integers(-2, 30),
+           samples=st.integers(-2, 50) | st.integers(2**27 + 1, 2**62),  # 2^27 draws of 2 words fill the budget
            seed=st.integers(-3, 3), fmt=st.sampled_from(["csv", "kv"]))
     def test_clt(self, n, k, samples, seed, fmt):
         self.check(["clt", "--n", str(n), "--k", str(k), "--samples", str(samples),

@@ -100,6 +100,12 @@ class TestRestrictionMatrix:
         assert m.rows == ((1, 0), (0, 1))
         assert m.n == 2
 
+    def test_from_vector_is_capped_before_building(self):
+        # n^2 entries against a 2^20 budget, so n <= 1024
+        with pytest.raises(CapExceeded) as info:
+            matrix_from_vector(RestrictionVector.b2(2000))
+        assert (info.value.needed, info.value.cap) == (2000**2, 1 << 20)
+
     def test_vector_of_empty_has_no_matrix(self):
         with pytest.raises(ValueError):
             matrix_from_vector(RestrictionVector(()))

@@ -15,8 +15,6 @@ from bregperm import oracles
 from bregperm.bregular import count_b_regular
 from bregperm.core import CapExceeded, RestrictionMatrix, RestrictionVector, matrix_from_vector
 from bregperm.permanent import (
-    ENUMERATE_DEFAULT_CAP,
-    RYSER_DEFAULT_CAP,
     count_with_fixed_points,
     permanent_enumerate,
     permanent_ryser,
@@ -43,17 +41,11 @@ class TestPermanentRyser:
             assert permanent_ryser(m) == 2 ** (n - 1)
 
     def test_cap(self):
-        m = matrix_from_vector(RestrictionVector.b2(12))
+        # n * 2^n steps: 25 * 2^25 fits the 2^30 budget, 26 * 2^26 does not
         with pytest.raises(CapExceeded) as info:
-            permanent_ryser(m, cap=11)
-        assert info.value.needed == 12
-        assert info.value.cap == 11
-        assert permanent_ryser(m, cap=12) == 2048
-        assert RYSER_DEFAULT_CAP == 30
-
-    def test_negative_cap_is_an_argument_error(self):
-        with pytest.raises(ValueError, match="cap must be >= 0, got -1"):
-            permanent_ryser(matrix_from_vector(RestrictionVector.b2(3)), cap=-1)
+            permanent_ryser(matrix_from_vector(RestrictionVector.b2(26)))
+        assert info.value.needed == 26 << 26
+        assert info.value.cap == 1 << 30 > 25 << 25
 
     def test_residues_join_past_two_to_the_64(self):
         # 21! > 2^64 and the row-sum products are larger still, so both
@@ -83,19 +75,13 @@ class TestPermanentRyser:
 
 class TestPermanentEnumerate:
     def test_cap(self):
+        # n! terms: 10! fits the 2^22 budget, 11! does not
         m11 = matrix_from_vector(RestrictionVector.b2(11))
         with pytest.raises(CapExceeded) as info:
             permanent_enumerate(m11)
-        assert info.value.needed == 11
-        assert info.value.cap == ENUMERATE_DEFAULT_CAP == 10
-        m9 = matrix_from_vector(RestrictionVector.b2(9))
-        with pytest.raises(CapExceeded):
-            permanent_enumerate(m9, cap=8)
-        assert permanent_enumerate(m9) == 256
-
-    def test_negative_cap_is_an_argument_error(self):
-        with pytest.raises(ValueError, match="cap must be >= 0, got -1"):
-            permanent_enumerate(matrix_from_vector(RestrictionVector.b2(3)), cap=-1)
+        assert info.value.needed == math.factorial(11)
+        assert info.value.cap == 1 << 22 > math.factorial(10)
+        assert permanent_enumerate(matrix_from_vector(RestrictionVector.b2(9))) == 256
 
     @given(strategies.zero_one_matrices(max_n=5))
     @settings(deadline=None, max_examples=40)

@@ -246,6 +246,10 @@ class TestSampling:
     def test_word_budget_is_checked_before_allocating(self):
         with pytest.raises(CapExceeded, match="random words"):
             sample_k_part_counts(10, 1, 2**62, np.random.default_rng(0))
+        # one random word plus one result word per draw below n = 63
+        with pytest.raises(CapExceeded) as info:
+            sample_k_part_counts(10, 1, 2**28, np.random.default_rng(0))
+        assert (info.value.needed, info.value.cap) == (2**29, 2**28)
 
     def test_argument_validation(self):
         rng = np.random.default_rng(0)
