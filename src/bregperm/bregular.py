@@ -9,36 +9,28 @@ drives the enumerator and the uniform sampler below.
 
 from __future__ import annotations
 
-import math
 import random
-from collections import Counter
 from fractions import Fraction
 from typing import Iterator
 
-from .core import _ENUMERATION_BUDGET, CapExceeded, Permutation, RestrictionVector, cycle_type
+from .core import _ENUMERATION_BUDGET, CapExceeded, Permutation, RestrictionVector, _slack_product, cycle_type
 from .permanent import count_with_fixed_points
 
-_COUNT_BIT_BUDGET = 1 << 20  # bits of an exact count, about 315 653 decimal digits
+_SLACK_STEP_BUDGET = 1 << 23  # slacks read by the pinned counts of the fixed-point moments
 
 
 def count_b_regular(b: RestrictionVector) -> int:
     """|S_b| = prod_i (1 + i - b_i), exactly.
 
-    Equal slacks are grouped and raised to their multiplicity, so a
-    staircase costs a few big multiplications, not one per position.
-    Raises CapExceeded, from the slacks alone and before multiplying, when
-    log2 of the count exceeds ``_COUNT_BIT_BUDGET`` (2^20 bits).
+    Multiplied by ``core._slack_product``, which raises CapExceeded before
+    multiplying when log2 of the count exceeds 2^20 bits.
 
     >>> count_b_regular(RestrictionVector.b2(5))
     16
     >>> count_b_regular(RestrictionVector((1, 1, 2, 4, 4)))
     8
     """
-    slacks = Counter(1 + i - bi for i, bi in enumerate(b, start=1))
-    bits = math.ceil(sum(m * math.log2(s) for s, m in slacks.items()))
-    if bits > _COUNT_BIT_BUDGET:
-        raise CapExceeded("count_b_regular bits", bits, _COUNT_BIT_BUDGET)
-    return math.prod(s**m for s, m in slacks.items())
+    return _slack_product((1 + i - bi for i, bi in enumerate(b, start=1)), "count_b_regular bits")
 
 
 def enumerate_b_regular(b: RestrictionVector) -> Iterator[Permutation]:
@@ -115,36 +107,43 @@ def sample_b_regular(b: RestrictionVector, rng: random.Random | int) -> Permutat
 def fixed_point_mean(b: RestrictionVector) -> Fraction:
     """Mean number of fixed points of a uniform draw from S_b.
 
-    Computed as the exact sum of per-position fixed-point probabilities,
-    each obtained by one vector reduction.
+    E[fix] = sum_i N_i / N, where N_i = ``count_with_fixed_points(b, {i})``
+    and N = |S_b|: the integer counts are summed and one Fraction is built.
+    Raises CapExceeded before the first count when the n^2 slacks these
+    n counts read exceed ``_SLACK_STEP_BUDGET`` (2^23, so n <= 2896).
 
     >>> fixed_point_mean(RestrictionVector.b2(5))
     Fraction(7, 4)
     """
-    total = count_b_regular(b)
-    hits = sum(count_with_fixed_points(b, {i}) for i in range(1, b.n + 1))
-    return Fraction(hits, total)
+    n = b.n
+    if n * n > _SLACK_STEP_BUDGET:
+        raise CapExceeded("fixed_point_mean slack steps", n * n, _SLACK_STEP_BUDGET)
+    hits = sum(count_with_fixed_points(b, {i}) for i in range(1, n + 1))
+    return Fraction(hits, count_b_regular(b))
 
 
 def fixed_point_variance(b: RestrictionVector) -> Fraction:
     """Variance of the number of fixed points of a uniform draw from S_b.
 
-    Indicator covariance expansion: sum_i p_i(1-p_i)
-    + 2 sum_{i<j} (p_ij - p_i p_j), with every probability an exact ratio
-    of reduced-vector counts.
+    By falling moments, Var = E[fix (fix - 1)] + mu - mu^2 with
+    E[fix (fix - 1)] = 2 sum_{i<j} N_ij / N and mu = sum_i N_i / N, where
+    N_F = ``count_with_fixed_points(b, F)`` and N = |S_b|.  The pinned
+    counts are summed as integers and one Fraction is built at the end.
+    Raises CapExceeded before the first count when the n^2 (n - 1) / 2
+    slacks the pair counts read exceed ``_SLACK_STEP_BUDGET`` (2^23, so
+    n <= 256).
 
     >>> fixed_point_variance(RestrictionVector.b2(5))
     Fraction(29, 16)
     """
     n = b.n
+    steps = n * n * (n - 1) // 2
+    if steps > _SLACK_STEP_BUDGET:
+        raise CapExceeded("fixed_point_variance slack steps", steps, _SLACK_STEP_BUDGET)
     total = count_b_regular(b)
-    p = [Fraction(count_with_fixed_points(b, {i}), total) for i in range(1, n + 1)]
-    var = sum((pi * (1 - pi) for pi in p), Fraction(0))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            pij = Fraction(count_with_fixed_points(b, {i, j}), total)
-            var += 2 * (pij - p[i - 1] * p[j - 1])
-    return var
+    singles = sum(count_with_fixed_points(b, {i}) for i in range(1, n + 1))
+    pairs = sum(count_with_fixed_points(b, {i, j}) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+    return Fraction((2 * pairs + singles) * total - singles * singles, total * total)
 
 
 def count_k_cycles(p: Permutation, k: int) -> int:

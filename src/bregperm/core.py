@@ -10,22 +10,45 @@ threads.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 # Fixed budgets, each in the unit of the work it bounds, checked before that work starts.
 _ELEMENT_BUDGET = 1 << 20  # entries of a built matrix, or images of a built permutation
 _ENUMERATION_BUDGET = 1 << 22  # members, or summed terms, of an exhaustive enumeration
+_COUNT_BIT_BUDGET = 1 << 20  # bits of an exact count, about 315 653 decimal digits
 
 
 class CapExceeded(RuntimeError):
-    """Raised when a computation would exceed a configured resource cap."""
+    """Raised when a computation would exceed a configured resource cap.
+
+    The message shows a ``needed`` wider than 64 bits as the power of two
+    below it, so it stays short and within Python's int-to-str digit limit.
+    """
 
     def __init__(self, what: str, needed: int, cap: int):
-        super().__init__(f"{what} needs {needed}, exceeding the cap of {cap}")
+        shown = f"at least 2^{needed.bit_length() - 1}" if needed.bit_length() > 64 else needed
+        super().__init__(f"{what} needs {shown}, exceeding the cap of {cap}")
         self.what = what
         self.needed = needed
         self.cap = cap
+
+
+def _slack_product(slacks: Iterable[int], what: str) -> int:
+    """prod(slacks) of slacks >= 1, exactly.
+
+    Equal slacks are grouped and raised to their multiplicity, so a
+    staircase costs a few big multiplications, not one per position.
+    Raises CapExceeded, from the slacks alone and before multiplying, when
+    log2 of the product exceeds ``_COUNT_BIT_BUDGET`` (2^20 bits).
+    """
+    groups = Counter(slacks)
+    bits = math.ceil(sum(m * math.log2(s) for s, m in groups.items()))
+    if bits > _COUNT_BIT_BUDGET:
+        raise CapExceeded(what, bits, _COUNT_BIT_BUDGET)
+    return math.prod(s**m for s, m in groups.items())
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,18 @@
-"""Exact permanents of 0/1 matrices and fixed-point reduction of restriction vectors.
+"""Exact permanents of 0/1 matrices, pinned fixed-point counts and reduction of restriction vectors.
 
 The permanent of the restriction matrix of b counts S_b, so these routines
 double as counting oracles.  Every result is exact: Python integers, or in
 the Ryser kernel residues joined by the Chinese remainder theorem.
+
+Pinned counts come straight from the slacks s_l = 1 + l - b_l: the
+permutations of S_b that fix every label in F number
+
+    prod over l not in F of (s_l - #{f in F : b_l <= f < l}).
+
+Fill the free positions from n down to 1.  The n - l positions above l hold
+values >= b_l, and each pinned f < l holds f, so of the n - b_l + 1 values
+>= b_l exactly that factor is left for position l, whatever came before.
+At most l - b_l labels lie in [b_l, l), so every factor is at least 1.
 """
 
 from __future__ import annotations
@@ -13,7 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from . import oracles
-from .core import _ENUMERATION_BUDGET, CapExceeded, RestrictionMatrix, RestrictionVector
+from .core import _ENUMERATION_BUDGET, CapExceeded, RestrictionMatrix, RestrictionVector, _slack_product
 
 _RYSER_BUDGET = 1 << 30  # n * 2^n row-sum updates, so n <= 25
 _LOW_COLUMNS = 12  # columns in the row-sum table; it holds 2^12 subsets
@@ -135,9 +145,9 @@ def reduce_vector_on_fixed_point(b: RestrictionVector, i: int) -> RestrictionVec
 def count_with_fixed_points(b: RestrictionVector, fixed: frozenset[int] | set[int]) -> int:
     """Number of permutations in S_b with pi(i) = i for every i in `fixed`.
 
-    Reduces the vector once per fixed label, tracking surviving original
-    labels so later labels land on the right position.  The result does not
-    depend on the reduction order.
+    The product over unpinned positions i of 1 + i - b_i - #{f in fixed : b_i <= f < i},
+    read straight off b (see the module docstring).  Multiplied within
+    ``core._COUNT_BIT_BUDGET`` (2^20 bits): CapExceeded before multiplying.
 
     >>> count_with_fixed_points(RestrictionVector.b2(5), {1})
     8
@@ -147,12 +157,16 @@ def count_with_fixed_points(b: RestrictionVector, fixed: frozenset[int] | set[in
     labels = sorted(fixed)
     if labels and not (1 <= labels[0] and labels[-1] <= b.n):
         raise ValueError(f"fixed labels {labels} out of range 1..{b.n}")
-    if len(labels) != len(set(labels)):
+    pinned = set(labels)
+    if len(labels) != len(pinned):
         raise ValueError("fixed labels must be distinct")
-    survivors = list(range(1, b.n + 1))
-    current = b
-    for lab in labels:
-        pos = survivors.index(lab) + 1
-        current = reduce_vector_on_fixed_point(current, pos)
-        survivors.pop(pos - 1)
-    return math.prod(1 + i - bi for i, bi in enumerate(current, start=1))
+    slacks = []
+    for i, bi in enumerate(b, start=1):
+        if i in pinned:
+            continue
+        slack = 1 + i - bi
+        for f in labels:
+            if bi <= f < i:
+                slack -= 1
+        slacks.append(slack)
+    return _slack_product(slacks, "count_with_fixed_points bits")

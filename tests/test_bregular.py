@@ -78,6 +78,11 @@ class TestEnumerate:
             enumerate_b_regular(RestrictionVector.b2(24))
         assert info.value.needed == 1 << 23
         assert info.value.cap == 1 << 22
+        # a count past Python's 4300-digit int-to-str limit still raises CapExceeded
+        with pytest.raises(CapExceeded) as info:
+            enumerate_b_regular(RestrictionVector.b2(20000))
+        assert info.value.needed == 1 << 19999
+        assert str(info.value) == "enumerate_b_regular members needs at least 2^19999, exceeding the cap of 4194304"
 
     def test_empty_vector_rejected(self):
         with pytest.raises(ValueError):
@@ -153,6 +158,17 @@ class TestFixedPointMoments:
         for n in range(1, 7):
             b = RestrictionVector((1,) * n)
             assert fixed_point_mean(b) == 1
+
+    def test_slack_budget_is_checked_before_counting(self):
+        # the mean reads n^2 slacks and the variance n^2 (n - 1) / 2
+        with pytest.raises(CapExceeded) as info:
+            fixed_point_variance(RestrictionVector.b2(2000))
+        assert (info.value.needed, info.value.cap) == (2000**2 * 1999 // 2, 1 << 23)
+        assert 256**2 * 255 // 2 <= info.value.cap < 257**2 * 256 // 2
+        with pytest.raises(CapExceeded) as info:
+            fixed_point_mean(RestrictionVector.b2(2897))
+        assert (info.value.needed, info.value.cap) == (2897**2, 1 << 23)
+        assert 2896**2 <= info.value.cap
 
     @given(strategies.restriction_vectors(max_n=6))
     @settings(deadline=None, max_examples=50)

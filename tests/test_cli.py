@@ -109,6 +109,13 @@ class TestCount:
             assert out == ""
             assert err.startswith("cap exceeded: ") and err.count("\n") == 1
 
+    def test_huge_cap_message_stays_short(self, capsys):
+        # 1000! terms: the message names a power of two, not 2 568 digits
+        code, out, err = run(capsys, "count", "b2:1000", "--method", "enumerate")
+        assert (code, out) == (3, "")
+        assert err == "cap exceeded: permanent_enumerate terms needs at least 2^8529, exceeding the cap of 4194304\n"
+        assert len(err) < 200
+
     def test_matrix_is_refused_before_it_is_built(self, capsys):
         for method in ("permanent", "enumerate"):
             code, out, err = run(capsys, "count", "b2:100000", "--method", method)

@@ -219,3 +219,9 @@ class TestCapExceeded:
         assert exc.needed == 40
         assert exc.cap == 30
         assert isinstance(exc, RuntimeError)
+
+    def test_needed_wider_than_64_bits_is_shown_as_a_power_of_two(self):
+        assert str(CapExceeded("x", (1 << 64) - 1, 8)) == f"x needs {(1 << 64) - 1}, exceeding the cap of 8"
+        exc = CapExceeded("x", 3 << 64, 8)
+        assert str(exc) == "x needs at least 2^65, exceeding the cap of 8"
+        assert exc.needed == 3 << 64

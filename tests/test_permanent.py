@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -124,7 +125,7 @@ class TestReduceVector:
     def test_reduction_counts_the_conditioned_family(self, b, data):
         i = data.draw(st.integers(min_value=1, max_value=b.n), label="i")
         expected = sum(1 for images in oracles.family(b.entries) if images[i - 1] == i)
-        assert count_with_fixed_points(b, {i}) == expected
+        assert count_with_fixed_points(b, {i}) == count_b_regular(reduce_vector_on_fixed_point(b, i)) == expected
 
 
 class TestCountWithFixedPoints:
@@ -141,6 +142,22 @@ class TestCountWithFixedPoints:
             count_with_fixed_points(b, {0})
         with pytest.raises(ValueError):
             count_with_fixed_points(b, {5})
+
+    def test_bit_budget_is_checked_before_multiplying(self):
+        # with nothing pinned the count is |S_b|: 2^(2^20 + 1) for this b
+        b = RestrictionVector.b2((1 << 20) + 2)
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded) as info:
+            count_with_fixed_points(b, set())
+        assert time.perf_counter() - start < 1.0
+        assert (info.value.needed, info.value.cap) == ((1 << 20) + 1, 1 << 20)
+
+    @given(strategies.restriction_vectors(max_n=6), st.data())
+    @settings(deadline=None, max_examples=100)
+    def test_every_pinned_set_matches_enumeration(self, b, data):
+        labels = data.draw(st.sets(st.integers(min_value=1, max_value=b.n)), label="fixed")
+        expected = sum(1 for images in oracles.family(b.entries) if all(images[f - 1] == f for f in labels))
+        assert count_with_fixed_points(b, labels) == expected
 
     @given(strategies.restriction_vectors(max_n=6), st.data())
     @settings(deadline=None, max_examples=60)
