@@ -11,6 +11,9 @@ Compositions of n are indexed by (n-1)-bit words: bit i-1 (least
 significant first) set means "cut after position i", and parts are the
 run lengths between cuts.  Word 0 is the single part (n); word 2^(n-1)-1
 is all ones.
+
+The counts of compositions by their k-parts, part totals included, live in
+``cycindex``.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .core import _ELEMENT_BUDGET, _ENUMERATION_BUDGET, CapExceeded, Composition, Permutation
+from .cycindex import _marked_parts
 
 
 @dataclass(frozen=True)
@@ -147,8 +151,9 @@ def enumerate_compositions(n: int) -> Iterator[Composition]:
 def total_k_parts(n: int, k: int) -> int:
     """Total number of parts equal to k over all compositions of n.
 
-    Equals (n - k + 3) * 2^(n-k-2) whenever k <= n - 1; the two edge values
-    are total(n, n) = 1 and total(n, n-1) = 2.
+    This is S(n - k, 1) of ``cycindex``, compositions of n with one marked
+    part of size k: (n - k + 3) * 2^(n-k-2) whenever k <= n - 1, with the
+    edge values total(n, n) = 1 and total(n, n-1) = 2.
 
     >>> total_k_parts(5, 1)
     28
@@ -157,9 +162,4 @@ def total_k_parts(n: int, k: int) -> int:
     """
     if n < 1 or k < 1:
         raise ValueError(f"need n, k >= 1, got n={n}, k={k}")
-    if k > n:
-        return 0
-    m = n - k
-    if m == 0:
-        return 1
-    return (m + 3) * (1 << m) // 4
+    return _marked_parts(n - k, 1)

@@ -28,6 +28,11 @@ pairs for N >= 1, S(0, m) = 1 (only the composition (k, ..., k)) and
 S(N, m) = 0 for N < 0, so E[(C)_m] = m! S(n - m k, m) / 2^(n-1).  The
 paper's closed forms below are the m = 1 and m = 2 cases of this sum at
 N >= 1, which is exactly where each of them holds.
+
+This module is the one place that counts compositions by their k-parts:
+``_marked_parts`` is S(N, m), and ``_segment_count`` is its m = 0 case
+2^(N-1) as a shift.  ``bijection.total_k_parts`` is S(n - k, 1), and the
+``stein`` indicator probabilities are products of segment counts.
 """
 
 from __future__ import annotations
@@ -52,10 +57,23 @@ def extract_factorial_moment(n: int, k: int, m: int) -> Fraction:
     rest = n - m * k  # N of the module docstring
     if rest < 0:
         return Fraction(0)
-    marked = 1 if rest == 0 else sum(
-        math.comb(m + 1, t + 1) * math.comb(rest - 1, t) << (rest - 1 - t) for t in range(min(m, rest - 1) + 1)
-    )
-    return Fraction(math.factorial(m) * marked, 1 << (n - 1))
+    return Fraction(math.factorial(m) * _marked_parts(rest, m), 1 << (n - 1))
+
+
+def _marked_parts(rest: int, m: int) -> int:
+    """S(N, m) of the module docstring at N = rest: pairs (composition of
+    rest + m k, set of m of its parts of size k), for any k."""
+    if rest <= 0:
+        return int(rest == 0)
+    return sum(math.comb(m + 1, t + 1) * math.comb(rest - 1, t) << (rest - 1 - t) for t in range(min(m, rest - 1) + 1))
+
+
+def _segment_count(mass: int) -> int:
+    """S(mass, 0) as a shift: compositions filling a free segment of that
+    mass; the empty segment counts once."""
+    if mass < 0:
+        raise ValueError(f"segment mass must be >= 0, got {mass}")
+    return 1 if mass == 0 else 1 << (mass - 1)
 
 
 def mean_k_cycles(n: int, k: int) -> Fraction:

@@ -2,7 +2,8 @@
 
 The permanent of the restriction matrix of b counts S_b, so these routines
 double as counting oracles.  Every result is exact: Python integers, or in
-the Ryser kernel residues joined by the Chinese remainder theorem.
+the Ryser kernel residues modulo 2^64 and 2^31 - 1 joined by the Chinese
+remainder theorem.
 
 Pinned counts come straight from the slacks s_l = 1 + l - b_l: the
 permutations of S_b that fix every label in F number
@@ -18,7 +19,6 @@ At most l - b_l labels lie in [b_l, l), so every factor is at least 1.
 from __future__ import annotations
 
 import math
-from typing import Iterator
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from . import oracles
 from .core import _ENUMERATION_BUDGET, CapExceeded, RestrictionMatrix, RestrictionVector, _slack_product
 
 _RYSER_BUDGET = 1 << 30  # n * 2^n row-sum updates, so n <= 25
+_CRT_PRIME = (1 << 31) - 1  # 25! < 2^64 * _CRT_PRIME, so one residue joins every admitted permanent
 _LOW_COLUMNS = 12  # columns in the row-sum table; it holds 2^12 subsets
 
 
@@ -39,8 +40,9 @@ def permanent_ryser(m: RestrictionMatrix) -> int:
     each step the products over rows are taken across the whole table at
     once in wrapping uint64 arithmetic, which is exact modulo 2^64.  When
     the permanent could reach 2^64 (the bound is the smaller of the product
-    of the row sums and n!) the walk is repeated modulo odd primes below
-    2^31 and the residues are joined by the Chinese remainder theorem.
+    of the row sums and n!) the walk is repeated modulo the prime 2^31 - 1
+    and the two residues are joined by the Chinese remainder theorem; every
+    n the budget admits has n! < 2^64 * (2^31 - 1), so one residue suffices.
 
     Raises CapExceeded before allocating anything when n * 2^n exceeds
     ``_RYSER_BUDGET`` (2^30, so n <= 25).
@@ -58,13 +60,10 @@ def permanent_ryser(m: RestrictionMatrix) -> int:
         even, odd = np.concatenate((even, odd + col), axis=1), np.concatenate((odd, even + col), axis=1)
     table = np.concatenate((even, odd), axis=1)
     value = _ryser_walk(a, table, low, None)
-    modulus = 1 << 64
-    primes = _primes_below_2_31()
-    while modulus <= bound:
-        p = next(primes)
+    if bound >= 1 << 64:
+        p = _CRT_PRIME
         residue = _ryser_walk(a, table, low, p)
-        value += modulus * ((residue - value) * pow(modulus, -1, p) % p)
-        modulus *= p
+        value += (1 << 64) * ((residue - value) * pow(1 << 64, -1, p) % p)
     return value
 
 
@@ -100,13 +99,6 @@ def _ryser_walk(a: np.ndarray, table: np.ndarray, low: int, p: int | None) -> in
         term = int(prods[:half].sum()) - int(prods[half:].sum())
         total += term if (n - members) % 2 == 0 else -term
     return total % (1 << 64 if p is None else p)
-
-
-def _primes_below_2_31() -> Iterator[int]:
-    """Odd primes below 2^31, largest first, by trial division."""
-    for c in range((1 << 31) - 1, 2, -2):
-        if all(c % d for d in range(3, math.isqrt(c) + 1, 2)):
-            yield c
 
 
 def permanent_enumerate(m: RestrictionMatrix) -> int:

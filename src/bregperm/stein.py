@@ -4,7 +4,9 @@ k-cycle count of a uniform one-subdiagonal permutation.
 Through the composition bijection, the k-cycle on {i, ..., i+k-1} occurs
 exactly when the composition has a part of size k covering that window, so
 every probability below is a ratio of segment counts: a free segment of
-mass m can be filled by 2^(m-1) compositions (1 way when m = 0).
+mass m can be filled by 2^(m-1) compositions (1 way when m = 0).  These
+counts, and every other count of compositions by their k-parts, come from
+``cycindex``.
 
 The count W of k-cycles is a sum of n-k+1 such indicators, and indicators
 further apart than k positions are independent.  A local-dependence
@@ -29,19 +31,12 @@ import numpy as np
 
 from .bregular import enumerate_b_regular
 from .core import CapExceeded, RestrictionVector
-from .cycindex import mean_k_cycles, variance_k_cycles
+from .cycindex import _segment_count, mean_k_cycles, second_falling_formula_is_exact, variance_k_cycles
 
 # Bumped whenever the sampler maps a seed to different draws.
 CLT_STREAM_VERSION = 2
 _BLOCK_BYTES = 1 << 18  # per sampler work array: four of them fit a 1 MiB L2
 _SAMPLE_WORD_BUDGET = 1 << 28  # drawn plus returned words per sampler call: result < 1 GiB
-
-
-def _segment_count(m: int) -> int:
-    """Compositions of m filling a free segment; empty segment counts once."""
-    if m < 0:
-        raise ValueError(f"segment mass must be >= 0, got {m}")
-    return 1 if m == 0 else 1 << (m - 1)
 
 
 def _check_indicator_args(n: int, k: int) -> None:
@@ -54,9 +49,10 @@ def _check_indicator_args(n: int, k: int) -> None:
 def indicator_probability(n: int, k: int, i: int) -> Fraction:
     """P(the k-cycle on {i, ..., i+k-1} occurs), for 1 <= i <= n-k+1.
 
-    1/2^k at the two boundary positions, 1/2^(k+1) in the interior.  The
-    single-slot case n = k has probability 2^(1-n) (one composition out of
-    2^(n-1)).
+    The free segments before and after the window fill independently.  That
+    gives 1/2^k at the two boundary positions and 1/2^(k+1) in the interior;
+    the single-slot case n = k has probability 2^(1-n) (one composition out
+    of 2^(n-1)).
 
     >>> indicator_probability(10, 2, 1)
     Fraction(1, 4)
@@ -66,11 +62,7 @@ def indicator_probability(n: int, k: int, i: int) -> Fraction:
     _check_indicator_args(n, k)
     if not 1 <= i <= n - k + 1:
         raise ValueError(f"start position {i} out of range 1..{n - k + 1}")
-    if n == k:
-        return Fraction(1, 1 << (n - 1))
-    if i == 1 or i == n - k + 1:
-        return Fraction(1, 1 << k)
-    return Fraction(1, 1 << (k + 1))
+    return Fraction(_segment_count(i - 1) * _segment_count(n - k - i + 1), 1 << (n - 1))
 
 
 def joint_indicator_probability(n: int, k: int, i: int, j: int) -> Fraction:
@@ -183,8 +175,8 @@ def _centered_fourth_moment(p: Fraction) -> Fraction:
 def shifted_moment_sums(n: int, k: int) -> tuple[Fraction, Fraction]:
     """(sum_i E|X_i|^3, sum_i E[X_i^4]) over the centred indicators X_i.
 
-    Two boundary positions contribute at parameter 1/2^k and the n-k-1
-    interior ones at 1/2^(k+1).
+    Two boundary positions contribute at the parameter of position 1 and
+    the n-k-1 interior ones at that of position 2 (indicator_probability).
 
     >>> shifted_moment_sums(10, 1)
     (Fraction(19, 16), Fraction(25, 32))
@@ -192,8 +184,8 @@ def shifted_moment_sums(n: int, k: int) -> tuple[Fraction, Fraction]:
     _check_indicator_args(n, k)
     if n < k + 1:
         raise ValueError(f"need n >= k + 1 positions, got n={n}, k={k}")
-    p_boundary = Fraction(1, 1 << k)
-    p_interior = Fraction(1, 1 << (k + 1))
+    p_boundary = indicator_probability(n, k, 1)
+    p_interior = indicator_probability(n, k, 2)
     interior = n - k - 1
     third = 2 * _centered_abs_third_moment(p_boundary) + interior * _centered_abs_third_moment(p_interior)
     fourth = 2 * _centered_fourth_moment(p_boundary) + interior * _centered_fourth_moment(p_interior)
@@ -215,7 +207,7 @@ def wasserstein_bound(n: int, k: int, dependency_size: int | None = None) -> flo
     2.98
     """
     _check_indicator_args(n, k)
-    if n < 2 * k + 1:
+    if not second_falling_formula_is_exact(n, k):
         raise ValueError(f"need n >= 2k + 1 = {2 * k + 1} for an exact variance, got n={n}")
     d = PRINTED_DEPENDENCY_SIZE_FACTOR * k if dependency_size is None else dependency_size
     if d < 1:
@@ -397,7 +389,7 @@ def clt_empirical_test(n: int, k: int, samples: int, seed: int) -> CltReport:
     _check_indicator_args(n, k)
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
-    if n < 2 * k + 1:
+    if not second_falling_formula_is_exact(n, k):
         raise ValueError(f"need n >= 2k + 1 = {2 * k + 1} for exact moments, got n={n}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
@@ -412,13 +404,8 @@ def clt_empirical_test(n: int, k: int, samples: int, seed: int) -> CltReport:
     values = np.flatnonzero(tally)
     freq = tally[values]
     cum = np.cumsum(freq)
-    ks = 0.0
-    for idx, v in enumerate(values):
-        z = (float(v) - mu_f) / sigma_f
-        phi = standard_normal_cdf(z)
-        hi = cum[idx] / samples - phi
-        lo = phi - (cum[idx] - freq[idx]) / samples
-        ks = max(ks, hi, lo)
+    phi = np.array(list(map(standard_normal_cdf, ((values - mu_f) / sigma_f).tolist())))
+    ks = max(0.0, (cum / samples - phi).max(), (phi - (cum - freq) / samples).max())
     hist = tuple(
         (
             (float(v) - 0.5 - mu_f) / sigma_f,

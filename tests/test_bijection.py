@@ -129,6 +129,16 @@ class TestTotalKParts:
         assert total_k_parts(7, 6) == 2
         assert total_k_parts(3, 9) == 0
 
+    def test_equals_the_closed_form(self):
+        # the closed form and edge values the function once restated itself
+        for n in range(1, 201):
+            for k in range(1, n + 3):
+                if k <= n - 2:
+                    expected = (n - k + 3) * 2 ** (n - k - 2)
+                else:
+                    expected = {n - 1: 2, n: 1}.get(k, 0)
+                assert total_k_parts(n, k) == expected, (n, k)
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             total_k_parts(0, 1)

@@ -248,6 +248,21 @@ class TestBound:
         assert fields["measured_dependency_size"] == "3"
         assert fields["wasserstein_at_measured_size"] == "5.78634"
 
+    @pytest.mark.parametrize(
+        "argv, stdout_sha256",
+        [
+            (("--n", "10", "--k", "1"), "22402df0a42790770d759bd21a41a06e581b1e0acc1930a3de20c9125e948124"),
+            (("--n", "100", "--k", "3"), "d5ab217e723e04b2e6536ae3f2390a68c9896b6335e91f92c0031897b5f08dac"),
+            (("--n", "2000", "--k", "2"), "a0d56e8876ac936a657ffb265c2ffeb15a2418808cc9f56cde8de19e68a60191"),
+            (("--n", "1000000", "--k", "5"), "ef38f5b8f8741714b6260b3ff4e68c823fd6e3c87b907fdf7c68c2033c7f4fd5"),
+        ],
+    )
+    def test_output_is_pinned(self, capsys, argv, stdout_sha256):
+        # the exact moment sums and every printed float
+        code, out, _ = run(capsys, "bound", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha256
+
 
 class TestClt:
     def test_kv_report(self, capsys):

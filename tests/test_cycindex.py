@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from bregperm import oracles
 from bregperm.cycindex import (
+    _marked_parts,
+    _segment_count,
     extract_factorial_moment,
     mean_formula_is_exact,
     mean_k_cycles,
@@ -83,6 +85,15 @@ class TestExtractFactorialMoment:
             extract_factorial_moment(5, 1, -1)
         with pytest.raises(ValueError):
             extract_factorial_moment(5, 0, 1)
+
+
+class TestMarkedParts:
+    def test_segment_count_is_the_unmarked_case(self):
+        # the shift 2^(m-1) stays the fast path of S(m, 0)
+        for m in range(3001):
+            assert _segment_count(m) == _marked_parts(m, 0)
+        with pytest.raises(ValueError, match="segment mass"):
+            _segment_count(-1)
 
 
 class TestClosedForms:

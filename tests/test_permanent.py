@@ -16,6 +16,8 @@ from bregperm import oracles
 from bregperm.bregular import count_b_regular
 from bregperm.core import CapExceeded, RestrictionMatrix, RestrictionVector, matrix_from_vector
 from bregperm.permanent import (
+    _CRT_PRIME,
+    _RYSER_BUDGET,
     count_with_fixed_points,
     permanent_enumerate,
     permanent_ryser,
@@ -56,6 +58,12 @@ class TestPermanentRyser:
         assert math.factorial(n) > 1 << 64
         assert permanent_ryser(ones) == math.factorial(n)
         assert permanent_ryser(matrix_from_vector(RestrictionVector.b2(n))) == 2 ** (n - 1)
+
+    def test_one_prime_residue_covers_the_budget(self):
+        # every admitted permanent is at most n!, which one residue modulo
+        # the prime joins with the one modulo 2^64
+        largest = max(n for n in range(1, 64) if n << n <= _RYSER_BUDGET)
+        assert math.factorial(largest) < (1 << 64) * _CRT_PRIME
 
     def test_high_columns_match_product_formula(self):
         # n > 12 splits the columns into the row-sum table and the Gray walk

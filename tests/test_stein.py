@@ -40,6 +40,20 @@ class TestIndicatorProbability:
         assert indicator_probability(10, 2, 5) == Fraction(1, 8)
         assert indicator_probability(5, 5, 1) == Fraction(1, 16)
 
+    def test_equals_the_three_case_form(self):
+        # the single slot, the two ends and the interior, written out
+        for n in range(1, 61):
+            for k in range(1, n + 1):
+                last = n - k + 1
+                for i in range(1, last + 1):
+                    if n == k:
+                        expected = Fraction(1, 2 ** (n - 1))
+                    elif i in (1, last):
+                        expected = Fraction(1, 2**k)
+                    else:
+                        expected = Fraction(1, 2 ** (k + 1))
+                    assert indicator_probability(n, k, i) == expected, (n, k, i)
+
     def test_law_collects_all_positions(self):
         law = indicator_law(9, 2)
         assert law.n == 9 and law.k == 2
