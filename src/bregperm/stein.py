@@ -62,7 +62,10 @@ def indicator_probability(n: int, k: int, i: int) -> Fraction:
     _check_indicator_args(n, k)
     if not 1 <= i <= n - k + 1:
         raise ValueError(f"start position {i} out of range 1..{n - k + 1}")
-    return Fraction(_segment_count(i - 1) * _segment_count(n - k - i + 1), 1 << (n - 1))
+    # a free segment's mass past its first slot cancels against 2^(n-1), so
+    # both are taken at mass <= 1 and the integers stay k bits wide at any n
+    before, after = min(i - 1, 1), min(n - k - i + 1, 1)
+    return Fraction(_segment_count(before) * _segment_count(after), 1 << (k - 1 + before + after))
 
 
 def joint_indicator_probability(n: int, k: int, i: int, j: int) -> Fraction:

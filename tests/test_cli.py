@@ -8,6 +8,7 @@ import csv
 import hashlib
 import io
 import sys
+import time
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -262,6 +263,21 @@ class TestBound:
         code, out, _ = run(capsys, "bound", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha256
+
+    def test_huge_n_answers_at_once(self, capsys):
+        # every ingredient stays k bits wide, so only the float variance limits n
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "bound", "--n", "1000000000000", "--k", "1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "45da1cd2a39ae64e84b57ab998d605cf181162244f36de08de968681476296ac"
+        )
+
+    def test_variance_past_a_float_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "bound", "--n", "1" + "0" * 400, "--k", "1")
+        assert (code, out) == (1, "")
+        assert err == "usage error: integer division result too large for a float\n"
 
 
 class TestClt:

@@ -54,6 +54,15 @@ class TestIndicatorProbability:
                         expected = Fraction(1, 2 ** (k + 1))
                     assert indicator_probability(n, k, i) == expected, (n, k, i)
 
+    def test_width_does_not_grow_with_n(self):
+        # a 2^(n-1) denominator would need an exabit integer here
+        n = 10**18
+        for k in (1, 5):
+            assert indicator_probability(n, k, 1) == indicator_probability(n, k, n - k + 1) == Fraction(1, 2**k)
+            assert indicator_probability(n, k, n // 2) == Fraction(1, 2 ** (k + 1))
+            third, fourth = shifted_moment_sums(n, k)
+            assert third.denominator.bit_length() < 64 and fourth.denominator.bit_length() < 64
+
     def test_law_collects_all_positions(self):
         law = indicator_law(9, 2)
         assert law.n == 9 and law.k == 2
