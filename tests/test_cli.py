@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import re
 import sys
 import time
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
@@ -502,6 +503,64 @@ class TestTopLevel:
     def test_unknown_command_is_usage_error(self, capsys):
         code, _, err = run(capsys, "frobnicate")
         assert code == 1
+
+
+EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
+
+
+class TestOutputBytes:
+    """Every subcommand's stdout, stderr and --out file, byte for byte: the
+    metadata, the field order, each value's format and the stream it goes
+    to.  The verify table's elapsed times are masked."""
+
+    @pytest.mark.parametrize(
+        "argv, stdout_sha256, stderr_sha256, out_sha256",
+        [
+            (("count", "b2:12"),
+             "79e37b40b87cdb7b6c55676da1e82b1350af7eb1874a7cd10791e713f9f8d5c1", EMPTY_SHA256, None),
+            (("count", "br:3,9", "--method", "permanent"),
+             "acb4fe9b7364c9114ef82c226f8905dc4c38c8789b8f4a54cc33a209f2c6e6d3", EMPTY_SHA256, None),
+            (("moments", "--n", "10", "--k", "1:3"),
+             "513353a23f62e5428def1555289a90d6fe2cb6199eab61c288acafde95324fec",
+             "e3f5d8357df1bc498e0431ef65309976a34128f449609168131ab8e84becebf6", None),
+            (("moments", "--n", "8", "--format", "kv"),
+             "951a878acca7734f78145dc320a4f4552f13333ab5a7fcca898ae4e7da05ecc2", EMPTY_SHA256, None),
+            (("moments", "--n", "6", "--format", "kv", "--out", "moments.csv"),
+             "0fa60ea09e442b6cd4469c037f2f62e3725a2f4f9ccb6a3c096866dd2447c65a", EMPTY_SHA256,
+             "60986a63dd9fab35c180d8d3f1d3395edca0fe044ef5c6d96c2676ef1fa6721e"),
+            (("bound", "--n", "10", "--k", "1"),
+             "22402df0a42790770d759bd21a41a06e581b1e0acc1930a3de20c9125e948124", EMPTY_SHA256, None),
+            (("clt", "--n", "60", "--k", "1", "--samples", "4000", "--seed", "9"),
+             "a3a1977decf79acb214fb6d523be98326f18e5ccf2398f0b41dd01d849bd39f9", EMPTY_SHA256, None),
+            (("clt", "--n", "50", "--k", "2", "--samples", "3000", "--seed", "4", "--format", "csv"),
+             "f0bc9bbd1737503d5d20738b190fb883da15b8219b48a40ebd24bb7cf0bb6d3c",
+             "c06f73aa13543f7bd68428c0f906ae6a946888d8db1f4d55c670327435e5dbfa", None),
+            (("clt", "--n", "50", "--k", "2", "--samples", "3000", "--seed", "4", "--format", "csv",
+              "--out", "hist.csv"),
+             "16122df6efc84a001c47c91a0c44b0d24e226ecf3c235ec965c54972d6bb340c", EMPTY_SHA256,
+             "f0bc9bbd1737503d5d20738b190fb883da15b8219b48a40ebd24bb7cf0bb6d3c"),
+            (("sample", "b2:8", "--samples", "5", "--seed", "17"),
+             "6721438150a918d574a64cd5af5b5b76ec2204f1877baf0f7bd5c1c8c934408b", EMPTY_SHA256, None),
+            (("compose", "to-comp", "1,4,2,3,5,10,6,7,8,9"),
+             "c76aa28956e0ff448834a8dc037ed723eaa409faf91256e3eeabcf9770b52b90", EMPTY_SHA256, None),
+            (("compose", "to-perm", "1,3,1,5"),
+             "b3dba8e4abdeb27e966a13d08b5f37daea62403903f42084634955a231b7f6db", EMPTY_SHA256, None),
+            (("verify", "quick"),
+             "fd3e7b00d779ec263a3ca7e844b5d3ead87f13eefb31cac111469d529ffef12e", EMPTY_SHA256, None),
+        ],
+        ids=["count-product", "count-permanent", "moments-csv", "moments-kv", "moments-out", "bound",
+             "clt-kv", "clt-csv", "clt-out", "sample", "compose-to-comp", "compose-to-perm", "verify-quick"],
+    )
+    def test_output_is_pinned(self, capsys, tmp_path, monkeypatch, argv, stdout_sha256, stderr_sha256, out_sha256):
+        monkeypatch.chdir(tmp_path)  # --out names a relative path, so the args line is the same everywhere
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        out = re.sub(r", \d+\.\d\ds\]", ", -s]", out)
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha256
+        assert hashlib.sha256(err.encode()).hexdigest() == stderr_sha256
+        if out_sha256 is not None:
+            written = (tmp_path / argv[-1]).read_bytes()
+            assert hashlib.sha256(written).hexdigest() == out_sha256
 
 
 class TestParserReuse:
