@@ -90,14 +90,11 @@ def composition_to_perm(c: Composition) -> Permutation:
     n = c.total
     if n > _ELEMENT_BUDGET:
         raise CapExceeded("composition_to_perm images", n, _ELEMENT_BUDGET)
-    images = [0] * n
-    start = 1
+    images = list(range(n))  # every m but a block start maps to m - 1
+    end = 0
     for part in c.parts:
-        end = start + part - 1
-        images[start - 1] = end
-        for m in range(start + 1, end + 1):
-            images[m - 1] = m - 1
-        start = end + 1
+        images[end] = end + part  # the start end + 1 maps to the block's end
+        end += part
     return Permutation(tuple(images))
 
 

@@ -1,11 +1,12 @@
 """Command-line driver: counting, moment tables, normal-approximation
 bounds, sampling, the composition bijection, and the verification suites.
 
-Every command prints enough metadata (command, arguments, seed, version) to
-reproduce its output exactly.  Exact integers print in full at any size,
-exact rationals as ``p/q``; floats appear only in human-facing summary
-lines, at six significant digits.  Tables are RFC-4180 CSV with a header
-row and LF line endings.
+Each command computes one record and ``_render`` alone prints it: the
+metadata that reproduces the output exactly (command, arguments, seed,
+version), the key=value fields, plain lines, and an RFC-4180 CSV table with
+a header row and LF line endings.  ``_text`` is the one value format (exact
+integers in full at any size, exact rationals as ``p/q``, floats at six
+significant digits) and ``_render`` picks each part's stream or file.
 
 Exit codes: 0 success, 1 usage error (any argument the library rejects),
 2 verification failure, 3 resource cap exceeded (the library refuses, before
@@ -21,14 +22,14 @@ import functools
 import random
 import sys
 from fractions import Fraction
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 from . import __version__
 from .bijection import composition_to_perm, perm_to_composition
 from .bregular import count_b_regular, sample_b_regular
-from .core import CapExceeded, Composition, Permutation, RestrictionVector, matrix_from_vector
+from .core import CapExceeded, Composition, Permutation, RestrictionVector
 from .cycindex import extract_factorial_moment
-from .permanent import permanent_enumerate, permanent_ryser
+from .permanent import _staircase_permanent
 from .stein import CLT_STREAM_VERSION, clt_empirical_test, stein_bound_report
 from .verify import CLT_PUBLISHED_SEED, LEVELS, format_results, run_checks
 
@@ -40,6 +41,13 @@ class _UsageError(ValueError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
+
+    def parse_args(self, args=None, namespace=None):  # type: ignore[override]
+        parsed = super().parse_args(args, namespace)
+        # argparse before Python 3.12 reads `--opt=--` as an empty list
+        if [] in vars(parsed).values():
+            self.error("'--' is not an option value")
+        return parsed
 
 
 def parse_b_spec(text: str) -> RestrictionVector:
@@ -81,35 +89,62 @@ def _parse_k_range(text: str, n: int) -> list[int]:
     return list(values)
 
 
-def _fraction(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
+class _Record(NamedTuple):
+    """What one subcommand computed, in print order; ``_render`` alone prints it."""
+
+    fields: dict[str, object]  # key=value lines; a None value is left out
+    lines: Sequence[object] = ()
+    table: tuple[Sequence[str], Iterable[Sequence[object]]] | None = None
+    code: int = 0
 
 
-def _sig6(x: float) -> str:
-    return f"{x:.6g}"
-
-
-def _emit_meta(stream: TextIO, command: str, argv: Sequence[str], seed: int | None = None) -> None:
-    print(f"command={command}", file=stream)
-    print(f"args={' '.join(argv)}", file=stream)
-    if seed is not None:
-        print(f"seed={seed}", file=stream)
-    print(f"version={__version__}", file=stream)
+def _text(value: object) -> str:
+    """The one value format: ints in full, Fractions as p/q, floats at six
+    significant digits, sequences joined by commas, dicts as key=value pairs."""
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, float):
+        return f"{value:.6g}"
+    if isinstance(value, (tuple, list)):
+        return ",".join(map(_text, value))
+    if isinstance(value, dict):
+        return " ".join(f"{key}={_text(v)}" for key, v in value.items())
+    return str(value)
 
 
 def _write_csv(stream: TextIO, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows([_text(v) for v in row] for row in rows)
 
 
-def _write_csv_file(path: str, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    try:
-        fh = open(path, "w", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise _UsageError(f"cannot write --out {path!r}: {exc.strerror}") from exc
-    with fh:
-        _write_csv(fh, header, rows)
+def _render(args: argparse.Namespace, argv: Sequence[str], record: _Record) -> int:
+    """Print a record: metadata, fields, lines, then the table where it goes.
+
+    A table goes to --out, written before anything prints; under --format
+    csv without --out it goes to stdout and the rest to stderr; otherwise it
+    is not printed.  Everything else goes to stdout.
+    """
+    out, table = getattr(args, "out", None), record.table
+    if table is not None and out:
+        try:
+            fh = open(out, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise _UsageError(f"cannot write --out {out!r}: {exc.strerror}") from exc
+        with fh:
+            _write_csv(fh, *table)
+    table_to_stdout = table is not None and not out and getattr(args, "format", None) == "csv"
+    stream = sys.stderr if table_to_stdout else sys.stdout
+    meta = {"command": args.cmd, "args": " ".join(argv), "seed": getattr(args, "seed", None),
+            "version": __version__}
+    for key, value in (*meta.items(), *record.fields.items()):
+        if value is not None:
+            print(f"{key}={_text(value)}", file=stream)
+    for line in record.lines:
+        print(_text(line), file=stream)
+    if table_to_stdout:
+        _write_csv(sys.stdout, *table)
+    return record.code
 
 
 def _resolve_b(args: argparse.Namespace) -> RestrictionVector:
@@ -122,119 +157,62 @@ def _resolve_b(args: argparse.Namespace) -> RestrictionVector:
     return RestrictionVector.br(2 if args.r is None else args.r, args.n)
 
 
-def _cmd_count(args: argparse.Namespace, argv: Sequence[str]) -> int:
+def _cmd_count(args: argparse.Namespace) -> _Record:
     b = _resolve_b(args)
-    if args.method == "product":
-        value = count_b_regular(b)
-    elif args.method == "permanent":
-        value = permanent_ryser(matrix_from_vector(b))
-    else:
-        value = permanent_enumerate(matrix_from_vector(b))
-    _emit_meta(sys.stdout, "count", argv)
-    print(f"b={','.join(str(v) for v in b.entries)}")
-    print(f"method={args.method}")
-    print(f"count={value}")
-    return 0
+    value = count_b_regular(b) if args.method == "product" else _staircase_permanent(b, args.method)
+    return _Record({"b": b.entries, "method": args.method, "count": value})
 
 
-def _cmd_moments(args: argparse.Namespace, argv: Sequence[str]) -> int:
+def _cmd_moments(args: argparse.Namespace) -> _Record:
     if args.n < 1:
         raise _UsageError(f"need --n >= 1, got {args.n}")
     ks = list(range(1, args.n + 1)) if args.k is None else _parse_k_range(args.k, args.n)
     header = ("n", "k", "mean_num", "mean_den", "var_num", "var_den",
               "second_falling_num", "second_falling_den")
-    rows = []
+    rows, lines = [], []
     for k in ks:
         mean, sf = extract_factorial_moment(args.n, k, 1), extract_factorial_moment(args.n, k, 2)
         var = sf + mean - mean * mean
         rows.append((args.n, k, mean.numerator, mean.denominator,
                      var.numerator, var.denominator, sf.numerator, sf.denominator))
+        lines.append({"n": args.n, "k": k, "mean": mean, "variance": var, "second_falling": sf})
     if args.out:
-        _write_csv_file(args.out, header, rows)
-        _emit_meta(sys.stdout, "moments", argv)
-        print(f"out={args.out}")
-        print(f"rows={len(rows)}")
-    elif args.format == "kv":
-        _emit_meta(sys.stdout, "moments", argv)
-        for _, k, mn, md, vn, vd, sn, sd in rows:
-            print(f"n={args.n} k={k} mean={mn}/{md} variance={vn}/{vd} second_falling={sn}/{sd}")
-    else:
-        _emit_meta(sys.stderr, "moments", argv)
-        _write_csv(sys.stdout, header, rows)
-    return 0
+        return _Record({"out": args.out, "rows": len(rows)}, table=(header, rows))
+    return _Record({}, lines if args.format == "kv" else (), (header, rows))
 
 
-def _cmd_bound(args: argparse.Namespace, argv: Sequence[str]) -> int:
+def _cmd_bound(args: argparse.Namespace) -> _Record:
     report = stein_bound_report(args.n, args.k)
-    _emit_meta(sys.stdout, "bound", argv)
-    print(f"n={report.n}")
-    print(f"k={report.k}")
-    print(f"dependency_size={report.dependency_size}")
-    print(f"third_moment_sum={_fraction(report.third_moment_sum)}")
-    print(f"fourth_moment_sum={_fraction(report.fourth_moment_sum)}")
-    print(f"sigma={_sig6(report.sigma)}")
-    print(f"wasserstein={_sig6(report.wasserstein)}")
-    print(f"kolmogorov={_sig6(report.kolmogorov)}")
-    print(f"measured_dependency_size={report.measured_dependency_size}")
-    print(f"wasserstein_at_measured_size={_sig6(report.wasserstein_at_measured_size)}")
-    return 0
+    names = ("n", "k", "dependency_size", "third_moment_sum", "fourth_moment_sum", "sigma", "wasserstein",
+             "kolmogorov", "measured_dependency_size", "wasserstein_at_measured_size")
+    return _Record({name: getattr(report, name) for name in names})
 
 
-def _cmd_clt(args: argparse.Namespace, argv: Sequence[str]) -> int:
+def _cmd_clt(args: argparse.Namespace) -> _Record:
     report = clt_empirical_test(args.n, args.k, args.samples, args.seed)
-    header = ("z_lo", "z_hi", "count")
-    hist_rows = [(f"{lo:.6g}", f"{hi:.6g}", count) for lo, hi, count in report.histogram]
-    if args.out:  # before any output, so an unwritable path prints only the usage error
-        _write_csv_file(args.out, header, hist_rows)
-    meta_stream = sys.stderr if args.format == "csv" and not args.out else sys.stdout
-    _emit_meta(meta_stream, "clt", argv, seed=args.seed)
-    print(f"stream={CLT_STREAM_VERSION}", file=meta_stream)
-    print(f"n={report.n}", file=meta_stream)
-    print(f"k={report.k}", file=meta_stream)
-    print(f"samples={report.samples}", file=meta_stream)
-    print(f"mu={_fraction(report.mu)}", file=meta_stream)
-    print(f"sigma2={_fraction(report.sigma2)}", file=meta_stream)
-    print(f"emp_mean={_sig6(report.emp_mean)}", file=meta_stream)
-    print(f"emp_var={_sig6(report.emp_var)}", file=meta_stream)
-    print(f"ks_stat={_sig6(report.ks_stat)}", file=meta_stream)
-    print(f"dw_bound={_sig6(report.dw_bound)}", file=meta_stream)
-    print(f"dk_bound={_sig6(report.dk_bound)}", file=meta_stream)
-    if args.out:
-        print(f"out={args.out}", file=meta_stream)
-    elif args.format == "csv":
-        _write_csv(sys.stdout, header, hist_rows)
-    return 0
+    names = ("n", "k", "samples", "mu", "sigma2", "emp_mean", "emp_var", "ks_stat", "dw_bound", "dk_bound")
+    fields = {"stream": CLT_STREAM_VERSION, **{name: getattr(report, name) for name in names}, "out": args.out}
+    return _Record(fields, table=(("z_lo", "z_hi", "count"), report.histogram))
 
 
-def _cmd_sample(args: argparse.Namespace, argv: Sequence[str]) -> int:
+def _cmd_sample(args: argparse.Namespace) -> _Record:
     if args.samples < 0:
         raise _UsageError(f"need --samples >= 0, got {args.samples}")
     b = _resolve_b(args)
-    _emit_meta(sys.stdout, "sample", argv, seed=args.seed)
-    print(f"b={','.join(str(v) for v in b.entries)}")
     rng = random.Random(args.seed)
-    for _ in range(args.samples):
-        p = sample_b_regular(b, rng)
-        print(",".join(str(v) for v in p.images))
-    return 0
+    return _Record({"b": b.entries}, [sample_b_regular(b, rng).images for _ in range(args.samples)])
 
 
-def _cmd_compose(args: argparse.Namespace, argv: Sequence[str]) -> int:
+def _cmd_compose(args: argparse.Namespace) -> _Record:
     values = tuple(int(v) for v in args.input.split(","))
     if args.direction == "to-comp":
-        result = perm_to_composition(Permutation(values)).parts
-    else:
-        result = composition_to_perm(Composition(values)).images
-    _emit_meta(sys.stdout, "compose", argv)
-    print(",".join(str(v) for v in result))
-    return 0
+        return _Record({}, [perm_to_composition(Permutation(values)).parts])
+    return _Record({}, [composition_to_perm(Composition(values)).images])
 
 
-def _cmd_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    _emit_meta(sys.stdout, "verify", argv)
+def _cmd_verify(args: argparse.Namespace) -> _Record:
     results = run_checks(args.level)
-    print(format_results(results))
-    return 0 if all(res.passed for res in results) else 2
+    return _Record({}, [format_results(results)], code=0 if all(res.passed for res in results) else 2)
 
 
 @functools.cache
@@ -307,7 +285,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         if digit_limit:
             sys.set_int_max_str_digits(0)
-        return _DISPATCH[args.cmd](args, argv)
+        return _render(args, argv, _DISPATCH[args.cmd](args))
     except (ValueError, OverflowError) as exc:  # a _UsageError or an argument the library rejects
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -164,9 +164,14 @@ def matrix_from_vector(b: RestrictionVector) -> RestrictionMatrix:
     n = b.n
     if n < 1:
         raise ValueError("cannot build a matrix for the empty vector")
+    _refuse_matrix(n)
+    return RestrictionMatrix(tuple(tuple(1 if j >= bi else 0 for j in range(1, n + 1)) for bi in b))
+
+
+def _refuse_matrix(n: int) -> None:
+    """Raise CapExceeded when an n x n matrix's entries exceed ``_ELEMENT_BUDGET``."""
     if n * n > _ELEMENT_BUDGET:
         raise CapExceeded("matrix_from_vector entries", n * n, _ELEMENT_BUDGET)
-    return RestrictionMatrix(tuple(tuple(1 if j >= bi else 0 for j in range(1, n + 1)) for bi in b))
 
 
 @dataclass(frozen=True)

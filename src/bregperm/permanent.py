@@ -23,7 +23,15 @@ import math
 import numpy as np
 
 from . import oracles
-from .core import _ENUMERATION_BUDGET, CapExceeded, RestrictionMatrix, RestrictionVector, _slack_product
+from .core import (
+    _ENUMERATION_BUDGET,
+    CapExceeded,
+    RestrictionMatrix,
+    RestrictionVector,
+    _refuse_matrix,
+    _slack_product,
+    matrix_from_vector,
+)
 
 _RYSER_BUDGET = 1 << 30  # n * 2^n row-sum updates, so n <= 25
 _CRT_PRIME = (1 << 31) - 1  # 25! < 2^64 * _CRT_PRIME, so one residue joins every admitted permanent
@@ -39,19 +47,18 @@ def permanent_ryser(m: RestrictionMatrix) -> int:
     walked in Gray-code order, one column added or removed per step, and at
     each step the products over rows are taken across the whole table at
     once in wrapping uint64 arithmetic, which is exact modulo 2^64.  When
-    the permanent could reach 2^64 (the bound is the smaller of the product
-    of the row sums and n!) the walk is repeated modulo the prime 2^31 - 1
-    and the two residues are joined by the Chinese remainder theorem; every
-    n the budget admits has n! < 2^64 * (2^31 - 1), so one residue suffices.
+    the permanent could reach 2^64 by Bregman's bound prod_i (r_i!)^(1/r_i)
+    over the row sums r_i, the walk is repeated modulo the prime 2^31 - 1
+    and the two residues are joined by the Chinese remainder theorem.  The
+    bound is at most both the product of the row sums and n!, and every n
+    the budget admits has n! < 2^64 * (2^31 - 1), so one residue suffices.
 
     Raises CapExceeded before allocating anything when n * 2^n exceeds
     ``_RYSER_BUDGET`` (2^30, so n <= 25).
     """
     n = m.n
-    if n << n > _RYSER_BUDGET:
-        raise CapExceeded("permanent_ryser n*2^n steps", n << n, _RYSER_BUDGET)
+    _refuse_ryser(n)
     a = np.array(m.rows, dtype=np.uint64)
-    bound = min(math.prod(sum(row) for row in m.rows), math.factorial(n))
     # low-column row sums, even-size subsets first: shape (n, 2^low)
     low = min(n, _LOW_COLUMNS)
     even, odd = np.zeros((n, 1), dtype=np.uint64), np.zeros((n, 0), dtype=np.uint64)
@@ -60,11 +67,18 @@ def permanent_ryser(m: RestrictionMatrix) -> int:
         even, odd = np.concatenate((even, odd + col), axis=1), np.concatenate((odd, even + col), axis=1)
     table = np.concatenate((even, odd), axis=1)
     value = _ryser_walk(a, table, low, None)
-    if bound >= 1 << 64:
+    # log2 of Bregman's bound: a zero row makes the permanent 0, so its factor
+    # is skipped, and the margin is far above the float sum's rounding error
+    if sum(math.lgamma(r + 1) / r for r in map(sum, m.rows) if r) / math.log(2) > 64 - 1e-9:
         p = _CRT_PRIME
         residue = _ryser_walk(a, table, low, p)
         value += (1 << 64) * ((residue - value) * pow(1 << 64, -1, p) % p)
     return value
+
+
+def _refuse_ryser(n: int) -> None:
+    if n << n > _RYSER_BUDGET:
+        raise CapExceeded("permanent_ryser n*2^n steps", n << n, _RYSER_BUDGET)
 
 
 def _ryser_walk(a: np.ndarray, table: np.ndarray, low: int, p: int | None) -> int:
@@ -108,10 +122,26 @@ def permanent_enumerate(m: RestrictionMatrix) -> int:
     :func:`bregperm.oracles.permanent`.  Raises CapExceeded before summing
     when the n! terms exceed ``core._ENUMERATION_BUDGET`` (2^22, so n <= 10).
     """
-    terms = math.factorial(m.n)
+    _refuse_enumerate(m.n)
+    return oracles.permanent(m.rows)
+
+
+def _refuse_enumerate(n: int) -> None:
+    terms = math.factorial(n)
     if terms > _ENUMERATION_BUDGET:
         raise CapExceeded("permanent_enumerate terms", terms, _ENUMERATION_BUDGET)
-    return oracles.permanent(m.rows)
+
+
+def _staircase_permanent(b: RestrictionVector, method: str) -> int:
+    """``permanent_ryser`` (method "permanent") or ``permanent_enumerate`` of
+    b's staircase matrix.  The matrix's cap refuses first, then the method's
+    budget, both before the n^2 entries are built.
+    """
+    ryser = method == "permanent"
+    _refuse_matrix(b.n)
+    (_refuse_ryser if ryser else _refuse_enumerate)(b.n)
+    m = matrix_from_vector(b)
+    return permanent_ryser(m) if ryser else permanent_enumerate(m)
 
 
 def reduce_vector_on_fixed_point(b: RestrictionVector, i: int) -> RestrictionVector:

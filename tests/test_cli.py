@@ -125,6 +125,18 @@ class TestCount:
             assert out == ""
             assert err == "cap exceeded: matrix_from_vector entries needs 10000000000, exceeding the cap of 1048576\n"
 
+    def test_method_budget_refuses_before_the_matrix_is_built(self, capsys, monkeypatch):
+        def built(rows):
+            raise AssertionError("the matrix was built")
+
+        monkeypatch.setattr("bregperm.core.RestrictionMatrix", built)
+        for spec, method, err_expected in (
+            ("b2:1024", "permanent", "permanent_ryser n*2^n steps needs at least 2^1034, exceeding the cap of 1073741824"),
+            ("b2:11", "enumerate", "permanent_enumerate terms needs 39916800, exceeding the cap of 4194304"),
+        ):
+            code, out, err = run(capsys, "count", spec, "--method", method)
+            assert (code, out, err) == (3, "", f"cap exceeded: {err_expected}\n")
+
     def test_exact_count_prints_at_any_size(self, capsys):
         # 2^19999 has 6021 digits, past Python's default int-to-str limit,
         # which main() lifts for the command and then restores
@@ -488,6 +500,9 @@ class TestTopLevel:
             ("count", "b2:3", "--cap", "1"),
             ("bound", "--n", "1" + "0" * 400, "--k", "1"),
             ("clt", "--n", "60", "--k", "-1"),
+            ("moments", "--n", "1", "--k=--"),  # argparse before 3.12 reads `--k=--` as []
+            ("count", "--n=--"),
+            ("moments", "--n", "3", "--out=--"),
         ],
     )
     def test_out_of_range_sizes_are_usage_errors(self, capsys, argv):

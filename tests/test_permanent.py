@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies
-from bregperm import oracles
+from bregperm import oracles, permanent
 from bregperm.bregular import count_b_regular
 from bregperm.core import CapExceeded, RestrictionMatrix, RestrictionVector, matrix_from_vector
 from bregperm.permanent import (
@@ -23,6 +23,20 @@ from bregperm.permanent import (
     permanent_ryser,
     reduce_vector_on_fixed_point,
 )
+
+
+@pytest.fixture
+def walks(monkeypatch) -> list[int | None]:
+    """The modulus of each Ryser walk taken: None for 2^64, else the prime."""
+    taken: list[int | None] = []
+    walk = permanent._ryser_walk
+
+    def counted(a, table, low, p):
+        taken.append(p)
+        return walk(a, table, low, p)
+
+    monkeypatch.setattr(permanent, "_ryser_walk", counted)
+    return taken
 
 
 class TestPermanentRyser:
@@ -50,14 +64,27 @@ class TestPermanentRyser:
         assert info.value.needed == 26 << 26
         assert info.value.cap == 1 << 30 > 25 << 25
 
-    def test_residues_join_past_two_to_the_64(self):
-        # 21! > 2^64 and the row-sum products are larger still, so both
-        # values need a prime residue on top of the one modulo 2^64
-        n = 21
-        ones = RestrictionMatrix(tuple((1,) * n for _ in range(n)))
-        assert math.factorial(n) > 1 << 64
-        assert permanent_ryser(ones) == math.factorial(n)
-        assert permanent_ryser(matrix_from_vector(RestrictionVector.b2(n))) == 2 ** (n - 1)
+    def test_residues_join_past_two_to_the_64(self, walks):
+        # Bregman's bound on the all-ones J_n is n! itself, and 21! > 2^64,
+        # so J_21..J_23 need a prime residue on top of the one modulo 2^64
+        for n in (21, 22, 23):
+            walks.clear()
+            ones = RestrictionMatrix(tuple((1,) * n for _ in range(n)))
+            assert math.factorial(n) > 1 << 64
+            assert permanent_ryser(ones) == math.factorial(n)
+            assert walks == [None, _CRT_PRIME]
+        # b2(21): row-sum product and 21! both pass 2^64, Bregman's bound is 2^46.7
+        walks.clear()
+        assert permanent_ryser(matrix_from_vector(RestrictionVector.b2(21))) == 2**20
+        assert walks == [None]
+
+    def test_bregman_bound_spares_the_second_walk(self, walks):
+        # 47-bit permanent, 76-bit row-sum product, 49.7-bit Bregman bound;
+        # the value was taken with both walks joined
+        rng = random.Random(1)
+        m = RestrictionMatrix(tuple(tuple(rng.randrange(2) for _ in range(22)) for _ in range(22)))
+        assert permanent_ryser(m) == 88502691042212
+        assert walks == [None]
 
     def test_one_prime_residue_covers_the_budget(self):
         # every admitted permanent is at most n!, which one residue modulo
