@@ -93,7 +93,7 @@ def composition_to_perm(c: Composition) -> Permutation:
     images = list(range(n))  # every m but a block start maps to m - 1
     end = 0
     for part in c.parts:
-        images[end] = end + part  # the start end + 1 maps to the block's end
+        images[end] = end + part  # the block start, end + 1, maps to the block's last element
         end += part
     return Permutation(tuple(images))
 

@@ -93,19 +93,19 @@ class _Record(NamedTuple):
     """What one subcommand computed, in print order; ``_render`` alone prints it."""
 
     fields: dict[str, object]  # key=value lines; a None value is left out
-    lines: Sequence[object] = ()
+    lines: Iterable[object] = ()  # may be lazy: `sample` streams its draws in constant memory
     table: tuple[Sequence[str], Iterable[Sequence[object]]] | None = None
     code: int = 0
 
 
 def _text(value: object) -> str:
     """The one value format: ints in full, Fractions as p/q, floats at six
-    significant digits, sequences joined by commas, dicts as key=value pairs."""
+    significant digits, tuples joined by commas, dicts as key=value pairs."""
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, float):
         return f"{value:.6g}"
-    if isinstance(value, (tuple, list)):
+    if isinstance(value, tuple):
         return ",".join(map(_text, value))
     if isinstance(value, dict):
         return " ".join(f"{key}={_text(v)}" for key, v in value.items())
@@ -200,7 +200,7 @@ def _cmd_sample(args: argparse.Namespace) -> _Record:
         raise _UsageError(f"need --samples >= 0, got {args.samples}")
     b = _resolve_b(args)
     rng = random.Random(args.seed)
-    return _Record({"b": b.entries}, [sample_b_regular(b, rng).images for _ in range(args.samples)])
+    return _Record({"b": b.entries}, (sample_b_regular(b, rng).images for _ in range(args.samples)))
 
 
 def _cmd_compose(args: argparse.Namespace) -> _Record:
