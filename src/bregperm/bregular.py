@@ -9,6 +9,7 @@ drives the enumerator and the uniform sampler below.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Iterator
@@ -16,7 +17,7 @@ from typing import Iterator
 from .core import _ENUMERATION_BUDGET, CapExceeded, Permutation, RestrictionVector, _slack_product, cycle_type
 from .permanent import count_with_fixed_points
 
-_SLACK_STEP_BUDGET = 1 << 23  # slacks read by the pinned counts of the fixed-point moments
+_SLACK_STEP_BUDGET = 1 << 23  # pinned counts of the fixed-point moments times max(n, log2 |S_b|)
 
 
 def count_b_regular(b: RestrictionVector) -> int:
@@ -104,20 +105,34 @@ def sample_b_regular(b: RestrictionVector, rng: random.Random | int) -> Permutat
     return Permutation(tuple(images))
 
 
+def _refuse_pinned_counts(b: RestrictionVector, counts: int, what: str) -> None:
+    """Raise CapExceeded, from the slacks alone, when `counts` pinned counts
+    of b exceed ``_SLACK_STEP_BUDGET``.
+
+    Each count reads n slacks and multiplies an integer up to |S_b|, so it
+    costs max(n, log2 |S_b|) steps.  A staircase b2(n) has log2 |S_b| = n - 1
+    and costs n per count, while (1,) * n costs about n log2 n.
+    """
+    bits = math.ceil(sum(math.log2(1 + i - bi) for i, bi in enumerate(b, start=1)))
+    steps = counts * max(b.n, bits)
+    if steps > _SLACK_STEP_BUDGET:
+        raise CapExceeded(what, steps, _SLACK_STEP_BUDGET)
+
+
 def fixed_point_mean(b: RestrictionVector) -> Fraction:
     """Mean number of fixed points of a uniform draw from S_b.
 
     E[fix] = sum_i N_i / N, where N_i = ``count_with_fixed_points(b, {i})``
     and N = |S_b|: the integer counts are summed and one Fraction is built.
-    Raises CapExceeded before the first count when the n^2 slacks these
-    n counts read exceed ``_SLACK_STEP_BUDGET`` (2^23, so n <= 2896).
+    Raises CapExceeded before the first count when the n counts, at
+    max(n, log2 N) steps each, exceed ``_SLACK_STEP_BUDGET`` (2^23, so
+    b2(n) for n <= 2896).
 
     >>> fixed_point_mean(RestrictionVector.b2(5))
     Fraction(7, 4)
     """
     n = b.n
-    if n * n > _SLACK_STEP_BUDGET:
-        raise CapExceeded("fixed_point_mean slack steps", n * n, _SLACK_STEP_BUDGET)
+    _refuse_pinned_counts(b, n, "fixed_point_mean slack steps")
     hits = sum(count_with_fixed_points(b, {i}) for i in range(1, n + 1))
     return Fraction(hits, count_b_regular(b))
 
@@ -129,17 +144,15 @@ def fixed_point_variance(b: RestrictionVector) -> Fraction:
     E[fix (fix - 1)] = 2 sum_{i<j} N_ij / N and mu = sum_i N_i / N, where
     N_F = ``count_with_fixed_points(b, F)`` and N = |S_b|.  The pinned
     counts are summed as integers and one Fraction is built at the end.
-    Raises CapExceeded before the first count when the n^2 (n - 1) / 2
-    slacks the pair counts read exceed ``_SLACK_STEP_BUDGET`` (2^23, so
-    n <= 256).
+    Raises CapExceeded before the first count when the n (n - 1) / 2 pair
+    counts, at max(n, log2 N) steps each, exceed ``_SLACK_STEP_BUDGET``
+    (2^23, so b2(n) for n <= 256).
 
     >>> fixed_point_variance(RestrictionVector.b2(5))
     Fraction(29, 16)
     """
     n = b.n
-    steps = n * n * (n - 1) // 2
-    if steps > _SLACK_STEP_BUDGET:
-        raise CapExceeded("fixed_point_variance slack steps", steps, _SLACK_STEP_BUDGET)
+    _refuse_pinned_counts(b, n * (n - 1) // 2, "fixed_point_variance slack steps")
     total = count_b_regular(b)
     singles = sum(count_with_fixed_points(b, {i}) for i in range(1, n + 1))
     pairs = sum(count_with_fixed_points(b, {i, j}) for i in range(1, n + 1) for j in range(i + 1, n + 1))

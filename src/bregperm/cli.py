@@ -28,7 +28,7 @@ from . import __version__
 from .bijection import composition_to_perm, perm_to_composition
 from .bregular import count_b_regular, sample_b_regular
 from .core import CapExceeded, Composition, Permutation, RestrictionVector
-from .cycindex import extract_factorial_moment
+from .cycindex import _refuse_moment_table, extract_factorial_moment
 from .permanent import _staircase_permanent
 from .stein import CLT_STREAM_VERSION, clt_empirical_test, stein_bound_report
 from .verify import CLT_PUBLISHED_SEED, LEVELS, format_results, run_checks
@@ -73,7 +73,7 @@ def parse_b_spec(text: str) -> RestrictionVector:
         raise _UsageError(f"bad restriction spec {text!r}: {exc}") from exc
 
 
-def _parse_k_range(text: str, n: int) -> list[int]:
+def _parse_k_range(text: str, n: int) -> Sequence[int]:
     """``"2"``, ``"1:4"`` (inclusive) or ``"1,3,5"`` -> sorted k values."""
     try:
         if ":" in text:
@@ -86,7 +86,7 @@ def _parse_k_range(text: str, n: int) -> list[int]:
     # the ends of the sorted values, so a range is only listed once it fits
     if not values or values[0] < 1 or values[-1] > n:
         raise _UsageError(f"k range {text!r} leaves 1..{n}")
-    return list(values)
+    return values
 
 
 class _Record(NamedTuple):
@@ -166,7 +166,8 @@ def _cmd_count(args: argparse.Namespace) -> _Record:
 def _cmd_moments(args: argparse.Namespace) -> _Record:
     if args.n < 1:
         raise _UsageError(f"need --n >= 1, got {args.n}")
-    ks = list(range(1, args.n + 1)) if args.k is None else _parse_k_range(args.k, args.n)
+    ks = range(1, args.n + 1) if args.k is None else _parse_k_range(args.k, args.n)
+    _refuse_moment_table(args.n, len(ks))
     header = ("n", "k", "mean_num", "mean_den", "var_num", "var_den",
               "second_falling_num", "second_falling_den")
     rows, lines = [], []

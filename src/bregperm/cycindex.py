@@ -40,6 +40,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .core import CapExceeded
+
+_TABLE_BIT_BUDGET = 1 << 25  # n bits per moment-table row at size n: all n rows up to n = 5792
+
 
 def extract_factorial_moment(n: int, k: int, m: int) -> Fraction:
     """m-th falling moment E[C (C-1) ... (C-m+1)] of the k-cycle count of a
@@ -58,6 +62,18 @@ def extract_factorial_moment(n: int, k: int, m: int) -> Fraction:
     if rest < 0:
         return Fraction(0)
     return Fraction(math.factorial(m) * _marked_parts(rest, m), 1 << (n - 1))
+
+
+def _refuse_moment_table(n: int, rows: int) -> None:
+    """Raise CapExceeded when `rows` moment-table rows at size n exceed
+    ``_TABLE_BIT_BUDGET`` bits.
+
+    A row's moments are ratios over 2^(n-1) or its square, and the m = 1, 2
+    sums behind them have n-bit terms, so each row is charged n bits.
+    """
+    bits = rows * n
+    if bits > _TABLE_BIT_BUDGET:
+        raise CapExceeded("moments table row bits", bits, _TABLE_BIT_BUDGET)
 
 
 def _marked_parts(rest: int, m: int) -> int:

@@ -36,6 +36,7 @@ from .core import (
 _RYSER_BUDGET = 1 << 30  # n * 2^n row-sum updates, so n <= 25
 _CRT_PRIME = (1 << 31) - 1  # 25! < 2^64 * _CRT_PRIME, so one residue joins every admitted permanent
 _LOW_COLUMNS = 12  # columns in the row-sum table; it holds 2^12 subsets
+_PRIME_ROWS = 6  # rows multiplied per reduction mod _CRT_PRIME: 25^6 * _CRT_PRIME < 2^59
 
 
 def permanent_ryser(m: RestrictionMatrix) -> int:
@@ -49,7 +50,9 @@ def permanent_ryser(m: RestrictionMatrix) -> int:
     once in wrapping uint64 arithmetic, which is exact modulo 2^64.  When
     the permanent could reach 2^64 by Bregman's bound prod_i (r_i!)^(1/r_i)
     over the row sums r_i, the walk is repeated modulo the prime 2^31 - 1
-    and the two residues are joined by the Chinese remainder theorem.  The
+    and the two residues are joined by the Chinese remainder theorem.  That
+    walk multiplies six rows at a time before each reduction: six row sums
+    of at most 25 times a residue stay below 2^59.  The
     bound is at most both the product of the row sums and n!, and every n
     the budget admits has n! < 2^64 * (2^31 - 1), so one residue suffices.
 
@@ -86,7 +89,7 @@ def _ryser_walk(a: np.ndarray, table: np.ndarray, low: int, p: int | None) -> in
     n = a.shape[0]
     half = table.shape[1] // 2
     sums = np.empty_like(table)
-    prods = np.empty(table.shape[1], dtype=np.uint64)
+    prods, chunk = np.empty(table.shape[1], dtype=np.uint64), np.empty(table.shape[1], dtype=np.uint64)
     high = np.zeros((n, 1), dtype=np.uint64)  # row sums of the current high subset
     members = 0
     state = 0
@@ -106,9 +109,10 @@ def _ryser_walk(a: np.ndarray, table: np.ndarray, low: int, p: int | None) -> in
         if p is None:
             np.multiply.reduce(sums, axis=0, out=prods)
         else:
-            np.copyto(prods, sums[0])
-            for row in sums[1:]:
-                prods *= row
+            prods.fill(1)
+            for first in range(0, n, _PRIME_ROWS):
+                np.multiply.reduce(sums[first : first + _PRIME_ROWS], axis=0, out=chunk)
+                prods *= chunk
                 prods %= p
         term = int(prods[:half].sum()) - int(prods[half:].sum())
         total += term if (n - members) % 2 == 0 else -term

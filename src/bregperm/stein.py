@@ -23,13 +23,16 @@ neighbourhoods of size 2k + 1; the report carries that variant separately.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 import numpy as np
 
-from .bregular import enumerate_b_regular
+from .bregular import count_b_regular, enumerate_b_regular
 from .core import CapExceeded, RestrictionVector
 from .cycindex import _segment_count, mean_k_cycles, second_falling_formula_is_exact, variance_k_cycles
 
@@ -152,34 +155,37 @@ def dependence_threshold(n: int, k: int) -> DependenceReport:
     _check_indicator_args(n, k)
     if n < 2 * k + 4:
         raise ValueError(f"need n >= 2k + 4 = {2 * k + 4} for a meaningful scan, got n={n}")
-    top = n - k + 1
-    law = indicator_law(n, k)
-    max_dep = 0
-    witness = (0, 0)
-    for i in range(1, top + 1):
-        for j in range(i + 1, top + 1):
-            independent = joint_indicator_probability(n, k, i, j) == law.probability(i) * law.probability(j)
-            if not independent and j - i > max_dep:
-                max_dep = j - i
-                witness = (i, j)
-    return DependenceReport(n=n, k=k, threshold=max_dep + 1, witness=witness)
+    p = indicator_law(n, k).probabilities
+    _, widest, witness = _scan_gaps(
+        (j - i, (i, j), joint_indicator_probability(n, k, i, j) == p[i - 1] * p[j - 1])
+        for i, j in itertools.combinations(range(1, n - k + 2), 2)
+    )
+    return DependenceReport(n=n, k=k, threshold=widest + 1, witness=witness)
 
 
-def _centered_abs_third_moment(p: Fraction) -> Fraction:
-    """E|B - p|^3 for a Bernoulli(p) variable B."""
-    return p * (1 - p) * (p * p + (1 - p) * (1 - p))
+def _scan_gaps(pairs: Iterable[tuple[int, tuple[int, int], bool]]) -> tuple[dict[int, list[int]], int, tuple | None]:
+    """Tally (gap, pair, independent) triples by gap.
 
-
-def _centered_fourth_moment(p: Fraction) -> Fraction:
-    """E[(B - p)^4] for a Bernoulli(p) variable B."""
-    return p * (1 - p) * (p**3 + (1 - p) ** 3)
+    Returns the [independent, dependent] counts at each gap, the widest gap
+    holding a dependent pair (0 when none does) and the first dependent pair
+    seen at that gap (None when none).
+    """
+    tally: dict[int, list[int]] = {}
+    widest, witness = 0, None
+    for gap, pair, independent in pairs:
+        tally.setdefault(gap, [0, 0])[not independent] += 1
+        if not independent and gap > widest:
+            widest, witness = gap, pair
+    return tally, widest, witness
 
 
 def shifted_moment_sums(n: int, k: int) -> tuple[Fraction, Fraction]:
     """(sum_i E|X_i|^3, sum_i E[X_i^4]) over the centred indicators X_i.
 
-    Two boundary positions contribute at the parameter of position 1 and
-    the n-k-1 interior ones at that of position 2 (indicator_probability).
+    Two boundary positions contribute at the parameter p of position 1 and
+    the n-k-1 interior ones at that of position 2 (indicator_probability);
+    a centred Bernoulli(p) has E|X|^3 = p q (p^2 + q^2) and
+    E[X^4] = p q (p^3 + q^3), q = 1 - p.
 
     >>> shifted_moment_sums(10, 1)
     (Fraction(19, 16), Fraction(25, 32))
@@ -187,11 +193,9 @@ def shifted_moment_sums(n: int, k: int) -> tuple[Fraction, Fraction]:
     _check_indicator_args(n, k)
     if n < k + 1:
         raise ValueError(f"need n >= k + 1 positions, got n={n}, k={k}")
-    p_boundary = indicator_probability(n, k, 1)
-    p_interior = indicator_probability(n, k, 2)
-    interior = n - k - 1
-    third = 2 * _centered_abs_third_moment(p_boundary) + interior * _centered_abs_third_moment(p_interior)
-    fourth = 2 * _centered_fourth_moment(p_boundary) + interior * _centered_fourth_moment(p_interior)
+    weights = ((2, indicator_probability(n, k, 1)), (n - k - 1, indicator_probability(n, k, 2)))
+    third = sum(c * p * (1 - p) * (p * p + (1 - p) * (1 - p)) for c, p in weights)
+    fourth = sum(c * p * (1 - p) * (p**3 + (1 - p) ** 3) for c, p in weights)
     return third, fourth
 
 
@@ -210,13 +214,21 @@ def wasserstein_bound(n: int, k: int, dependency_size: int | None = None) -> flo
     2.98
     """
     _check_indicator_args(n, k)
-    if not second_falling_formula_is_exact(n, k):
-        raise ValueError(f"need n >= 2k + 1 = {2 * k + 1} for an exact variance, got n={n}")
+    _require_exact_variance(n, k)
     d = PRINTED_DEPENDENCY_SIZE_FACTOR * k if dependency_size is None else dependency_size
     if d < 1:
         raise ValueError(f"dependency size must be >= 1, got {d}")
-    third, fourth = shifted_moment_sums(n, k)
-    sigma2 = float(variance_k_cycles(n, k))
+    return _wasserstein(d, *shifted_moment_sums(n, k), float(variance_k_cycles(n, k)))
+
+
+def _require_exact_variance(n: int, k: int) -> None:
+    if not second_falling_formula_is_exact(n, k):
+        raise ValueError(f"need n >= 2k + 1 = {2 * k + 1} for an exact variance, got n={n}")
+
+
+def _wasserstein(d: int, third: Fraction, fourth: Fraction, sigma2: float) -> float:
+    """The module docstring's bound at neighbourhood size d, from the two
+    moment sums and the variance."""
     sigma = math.sqrt(sigma2)
     term1 = d * d / sigma**3 * float(third)
     term2 = math.sqrt(28.0) * d**1.5 / (math.sqrt(math.pi) * sigma2) * math.sqrt(float(fourth))
@@ -255,18 +267,20 @@ class SteinBoundReport:
 
 def stein_bound_report(n: int, k: int) -> SteinBoundReport:
     third, fourth = shifted_moment_sums(n, k)
-    dw = wasserstein_bound(n, k)
+    _require_exact_variance(n, k)
+    sigma2 = float(variance_k_cycles(n, k))
+    dw = _wasserstein(PRINTED_DEPENDENCY_SIZE_FACTOR * k, third, fourth, sigma2)
     return SteinBoundReport(
         n=n,
         k=k,
         dependency_size=PRINTED_DEPENDENCY_SIZE_FACTOR * k,
-        sigma=math.sqrt(float(variance_k_cycles(n, k))),
+        sigma=math.sqrt(sigma2),
         third_moment_sum=third,
         fourth_moment_sum=fourth,
         wasserstein=dw,
         kolmogorov=kolmogorov_from_wasserstein(dw),
         measured_dependency_size=2 * k + 1,
-        wasserstein_at_measured_size=wasserstein_bound(n, k, dependency_size=2 * k + 1),
+        wasserstein_at_measured_size=_wasserstein(2 * k + 1, third, fourth, sigma2),
     )
 
 
@@ -400,7 +414,7 @@ def clt_empirical_test(n: int, k: int, samples: int, seed: int) -> CltReport:
     counts = sample_k_part_counts(n, k, samples, rng)
     mu = mean_k_cycles(n, k)
     sigma2 = variance_k_cycles(n, k)
-    dw = wasserstein_bound(n, k)
+    dw = _wasserstein(PRINTED_DEPENDENCY_SIZE_FACTOR * k, *shifted_moment_sums(n, k), float(sigma2))
     mu_f = float(mu)
     sigma_f = math.sqrt(float(sigma2))
     tally = np.bincount(counts)
@@ -409,14 +423,8 @@ def clt_empirical_test(n: int, k: int, samples: int, seed: int) -> CltReport:
     cum = np.cumsum(freq)
     phi = np.array(list(map(standard_normal_cdf, ((values - mu_f) / sigma_f).tolist())))
     ks = max(0.0, (cum / samples - phi).max(), (phi - (cum - freq) / samples).max())
-    hist = tuple(
-        (
-            (float(v) - 0.5 - mu_f) / sigma_f,
-            (float(v) + 0.5 - mu_f) / sigma_f,
-            int(c),
-        )
-        for v, c in zip(values, freq)
-    )
+    edges = (((values + shift - mu_f) / sigma_f).tolist() for shift in (-0.5, 0.5))
+    hist = tuple(zip(*edges, freq.tolist()))
     return CltReport(
         n=n,
         k=k,
@@ -454,80 +462,37 @@ class IndependenceProbeReport:
     dependent_witness_at_gap: tuple[int, ...] | None
 
 
-def _min_support_gap(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    return min(abs(x - y) for x in a for y in b)
-
-
 def independence_probe(n: int, r: int = 3) -> IndependenceProbeReport:
     """Exhaustive independence scan over all cycles of the r-subdiagonal
     family of size n.  Evidence only; nothing downstream consumes this.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    perms = list(enumerate_b_regular(RestrictionVector.br(r, n)))
-    total = len(perms)
-    cycle_ids: dict[tuple[int, ...], int] = {}
-    marginal: list[int] = []
-    supports: list[tuple[int, ...]] = []
-    masks: list[int] = []
-    per_perm: list[list[int]] = []
-    for p in perms:
-        ids = []
-        for cyc in p.cycles():
-            cid = cycle_ids.get(cyc)
-            if cid is None:
-                cid = len(cycle_ids)
-                cycle_ids[cyc] = cid
-                marginal.append(0)
-                supports.append(tuple(sorted(cyc)))
-                masks.append(sum(1 << e for e in cyc))
-            marginal[cid] += 1
-            ids.append(cid)
-        per_perm.append(ids)
-    joint: dict[tuple[int, int], int] = {}
-    for ids in per_perm:
-        ids_sorted = sorted(ids)
-        for a in range(len(ids_sorted)):
-            for bidx in range(a + 1, len(ids_sorted)):
-                key = (ids_sorted[a], ids_sorted[bidx])
-                joint[key] = joint.get(key, 0) + 1
-    gap_ind: dict[int, int] = {}
-    gap_dep: dict[int, int] = {}
-    pairs = 0
-    witness: tuple[int, ...] | None = None
-    witness_gap = -1
-    m = len(marginal)
-    for a in range(m):
-        for b_ in range(a + 1, m):
-            if masks[a] & masks[b_]:
-                continue
-            pairs += 1
-            gap = _min_support_gap(supports[a], supports[b_])
-            independent = joint.get((a, b_), 0) * total == marginal[a] * marginal[b_]
-            if independent:
-                gap_ind[gap] = gap_ind.get(gap, 0) + 1
-            else:
-                gap_dep[gap] = gap_dep.get(gap, 0) + 1
-                if gap > witness_gap:
-                    witness_gap = gap
-                    witness = supports[a] + supports[b_]
-    gaps = sorted(set(gap_ind) | set(gap_dep))
-    summary = tuple((g, gap_ind.get(g, 0), gap_dep.get(g, 0)) for g in gaps)
-    least: int | None = None
-    if gaps:
-        worst_dep = max(gap_dep) if gap_dep else 0
-        candidate = worst_dep + 1
-        if any(g >= candidate for g in gap_ind):
-            least = candidate
-        elif not gap_dep:
-            least = min(gaps)
+    b = RestrictionVector.br(r, n)
+    ids: dict[tuple[int, ...], int] = {}  # each cycle numbered in order of first sight
+    marginal: Counter[int] = Counter()
+    joint: Counter[tuple[int, int]] = Counter()
+    for p in enumerate_b_regular(b):
+        seen = sorted(ids.setdefault(cyc, len(ids)) for cyc in p.cycles())
+        marginal.update(seen)
+        joint.update(itertools.combinations(seen, 2))
+    total = count_b_regular(b)
+    supports = [tuple(sorted(cyc)) for cyc in ids]
+    masks = [sum(1 << e for e in cyc) for cyc in ids]
+    tally, widest, witness = _scan_gaps(
+        (min(abs(x - y) for x in supports[a] for y in supports[c]), (a, c),
+         joint[a, c] * total == marginal[a] * marginal[c])
+        for a, c in itertools.combinations(range(len(ids)), 2)
+        if not masks[a] & masks[c]
+    )
     return IndependenceProbeReport(
         n=n,
         r=r,
         family_size=total,
-        distinct_cycles=m,
-        disjoint_pairs=pairs,
-        gap_summary=summary,
-        least_all_independent_gap=least,
-        dependent_witness_at_gap=witness,
+        distinct_cycles=len(ids),
+        disjoint_pairs=sum(map(sum, tally.values())),
+        gap_summary=tuple((gap, *tally[gap]) for gap in sorted(tally)),
+        # every pair past the widest dependent gap is independent
+        least_all_independent_gap=widest + 1 if max(tally, default=0) > widest else None,
+        dependent_witness_at_gap=None if witness is None else supports[witness[0]] + supports[witness[1]],
     )

@@ -1,9 +1,9 @@
 """Cross-verification suites tying every module to an independent oracle.
 
 Each check re-derives a quantity along two or more unrelated pipelines
-(closed form, generating series, inclusion-exclusion permanent, exhaustive
-enumeration, vectorised sampling) and demands exact agreement wherever the
-arithmetic is rational.  The brute-force side of every comparison comes from
+(closed form, the exact marked-parts sum, inclusion-exclusion permanent,
+exhaustive enumeration, vectorised sampling) and demands exact agreement
+wherever the arithmetic is rational.  The brute-force side of every comparison comes from
 :mod:`bregperm.oracles`, the same reference the test suite uses.  Checks run
 at two levels:
 
@@ -384,7 +384,7 @@ def _check_cycindex_pipelines(full: bool, expect: _Expect) -> str:
         for k in range(1, n + 1):
             counts = [oracles.count_parts(parts, k) for parts in comps]
             mean_o, var_o, sf_o = oracles.count_stats(counts)
-            # (b) series extraction must match (c) enumeration everywhere.
+            # (b) the exact falling moments must match (c) enumeration everywhere.
             for m in range(1, 5):
                 series_m, oracle_m = extract_factorial_moment(n, k, m), oracles.falling_moment(counts, m)
                 expect(series_m == oracle_m, "series falling moment m={} at (n={}, k={}) is {}, enumeration {}",
@@ -450,7 +450,7 @@ def _check_stein_covariance(full: bool, expect: _Expect) -> str:
             total = sum(p * (1 - p) for p in ps.values())
             for i, j in itertools.combinations(range(1, last + 1), 2):
                 total += 2 * (joint_indicator_probability(n, k, i, j) - ps[i] * ps[j])
-            # Truth from the series (exact for every n, k), not the closed form.
+            # Truth from the exact falling moments (every n, k), not the closed form.
             mean_e = extract_factorial_moment(n, k, 1)
             truth = extract_factorial_moment(n, k, 2) + mean_e - mean_e * mean_e
             expect(total == truth, "covariance decomposition at (n={}, k={}) gives {}, series variance {}",

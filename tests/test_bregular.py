@@ -160,15 +160,24 @@ class TestFixedPointMoments:
             assert fixed_point_mean(b) == 1
 
     def test_slack_budget_is_checked_before_counting(self):
-        # the mean reads n^2 slacks and the variance n^2 (n - 1) / 2
+        # the mean takes n pinned counts and the variance n (n - 1) / 2, each
+        # costing max(n, log2 |S_b|) steps; a staircase costs n per count
         with pytest.raises(CapExceeded) as info:
             fixed_point_variance(RestrictionVector.b2(2000))
-        assert (info.value.needed, info.value.cap) == (2000**2 * 1999 // 2, 1 << 23)
-        assert 256**2 * 255 // 2 <= info.value.cap < 257**2 * 256 // 2
+        assert (info.value.needed, info.value.cap) == (2000 * 1999 // 2 * 2000, 1 << 23)
+        assert 256 * 255 // 2 * 256 <= info.value.cap < 257 * 256 // 2 * 257
         with pytest.raises(CapExceeded) as info:
             fixed_point_mean(RestrictionVector.b2(2897))
-        assert (info.value.needed, info.value.cap) == (2897**2, 1 << 23)
-        assert 2896**2 <= info.value.cap
+        assert (info.value.needed, info.value.cap) == (2897 * 2897, 1 << 23)
+        assert 2896 * 2896 <= info.value.cap
+
+    def test_slack_budget_counts_integer_width(self):
+        # (1,) * n has |S_b| = n!, so each count is a product about log2 n! bits wide
+        for size, moment, counts in ((1000, fixed_point_mean, 1000), (150, fixed_point_variance, 150 * 149 // 2)):
+            with pytest.raises(CapExceeded) as info:
+                moment(RestrictionVector((1,) * size))
+            assert info.value.needed == counts * math.ceil(math.log2(math.factorial(size)))
+        assert fixed_point_mean(RestrictionVector((1,) * 500)) == 1
 
     @given(strategies.restriction_vectors(max_n=6))
     @settings(deadline=None, max_examples=50)

@@ -245,6 +245,18 @@ class TestMoments:
         assert Fraction(vn, vd) == falling + mean - mean * mean
         assert Fraction(sn, sd) == falling
 
+    def test_table_bits_are_capped_before_the_first_row(self, capsys, tmp_path):
+        # each row at size n is charged n bits; 5792 full rows fit 2^25, 400 rows at n = 10^5 do not
+        target = tmp_path / "moments.csv"
+        for argv, bits in ((("--n", "100000", "--k", "1:400"), 400 * 100000),
+                           (("--n", "5793"), 5793 * 5793),
+                           (("--n", "1000000000000", "--out", str(target)), 10**24)):
+            code, out, err = run(capsys, "moments", *argv)
+            shown = bits if bits < 2**64 else f"at least 2^{bits.bit_length() - 1}"
+            assert (code, out) == (3, "")
+            assert err == f"cap exceeded: moments table row bits needs {shown}, exceeding the cap of {1 << 25}\n"
+        assert not target.exists()
+
 
 class TestBound:
     def test_report_fields(self, capsys):

@@ -3,8 +3,11 @@ the explicit normal-approximation bounds, and the seeded sampling runs."""
 
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import asdict
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -354,3 +357,27 @@ class TestIndependenceProbe:
         for gap, independent, dependent in rep.gap_summary:
             assert gap >= 1
             assert independent >= 0 and dependent >= 0
+
+
+class TestEvidencePins:
+    """Whole evidence reports, recorded before the two scans shared one tally."""
+
+    RECORDED = json.loads(Path(__file__).with_name("stein_evidence.json").read_text())
+
+    @staticmethod
+    def as_json(report) -> dict:
+        return json.loads(json.dumps(asdict(report)))
+
+    def test_independence_probe_reports(self):
+        recorded = self.RECORDED["independence_probe"]
+        grid = [(n, r) for r in range(1, 5) for n in range(2, (8 if r < 4 else 7) + 1)]
+        assert [(row["n"], row["r"]) for row in recorded] == grid
+        for row in recorded:
+            assert self.as_json(independence_probe(row["n"], row["r"])) == row
+
+    def test_dependence_threshold_reports(self):
+        recorded = self.RECORDED["dependence_threshold"]
+        grid = [(n, k) for k in range(1, 6) for n in range(2 * k + 4, 41)]
+        assert [(row["n"], row["k"]) for row in recorded] == grid
+        for row in recorded:
+            assert self.as_json(dependence_threshold(row["n"], row["k"])) == row
