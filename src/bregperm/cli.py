@@ -147,18 +147,8 @@ def _render(args: argparse.Namespace, argv: Sequence[str], record: _Record) -> i
     return record.code
 
 
-def _resolve_b(args: argparse.Namespace) -> RestrictionVector:
-    if args.b_spec is not None:
-        if args.n is not None or args.r is not None:
-            raise _UsageError(f"give a restriction spec or --n/--r, not both (spec {args.b_spec!r})")
-        return parse_b_spec(args.b_spec)
-    if args.n is None:
-        raise _UsageError("give a restriction spec or --n (with optional --r)")
-    return RestrictionVector.br(2 if args.r is None else args.r, args.n)
-
-
 def _cmd_count(args: argparse.Namespace) -> _Record:
-    b = _resolve_b(args)
+    b = parse_b_spec(args.b_spec)
     value = count_b_regular(b) if args.method == "product" else _staircase_permanent(b, args.method)
     return _Record({"b": b.entries, "method": args.method, "count": value})
 
@@ -199,7 +189,7 @@ def _cmd_clt(args: argparse.Namespace) -> _Record:
 def _cmd_sample(args: argparse.Namespace) -> _Record:
     if args.samples < 0:
         raise _UsageError(f"need --samples >= 0, got {args.samples}")
-    b = _resolve_b(args)
+    b = parse_b_spec(args.b_spec)
     rng = random.Random(args.seed)
     return _Record({"b": b.entries}, (sample_b_regular(b, rng).images for _ in range(args.samples)))
 
@@ -222,14 +212,10 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="bregperm", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add_b_spec(p: _Parser) -> None:
-        p.add_argument("b_spec", nargs="?", default=None,
-                       help="explicit vector '1,1,2,4,4' or shorthand b2:n / b3:n / br:r,n")
-        p.add_argument("--n", type=int, default=None, help="size for the --r staircase shorthand")
-        p.add_argument("--r", type=int, default=None, help="staircase offset with --n (default 2)")
+    b_spec_help = "explicit vector '1,1,2,4,4' or shorthand b2:n / b3:n / br:r,n"
 
     p_count = sub.add_parser("count", help="number of permutations compatible with a restriction")
-    add_b_spec(p_count)
+    p_count.add_argument("b_spec", help=b_spec_help)
     p_count.add_argument("--method", choices=("product", "permanent", "enumerate"), default="product",
                          help="product formula (default), inclusion-exclusion permanent, or direct enumeration")
 
@@ -253,7 +239,7 @@ def build_parser() -> _Parser:
                        help="csv prints the histogram to stdout when --out is absent")
 
     p_sample = sub.add_parser("sample", help="uniform draws from a restricted family")
-    add_b_spec(p_sample)
+    p_sample.add_argument("b_spec", help=b_spec_help)
     p_sample.add_argument("--samples", type=int, default=1)
     p_sample.add_argument("--seed", type=int, default=0)
 

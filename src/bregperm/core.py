@@ -147,10 +147,6 @@ class RestrictionMatrix:
     def n(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int) -> int:
-        """1-based access: entry(i, j) = M_{ij}."""
-        return self.rows[i - 1][j - 1]
-
 
 def matrix_from_vector(b: RestrictionVector) -> RestrictionMatrix:
     """Row i has ones exactly in columns b_i..n (the staircase of b).
@@ -178,7 +174,7 @@ def _refuse_matrix(n: int) -> None:
 class Permutation:
     """Permutation of {1, ..., n} stored as the image tuple (pi(1), ..., pi(n)).
 
-    >>> Permutation((2, 1, 3)).image(1)
+    >>> Permutation((2, 1, 3)).images[0]
     2
     """
 
@@ -200,11 +196,6 @@ class Permutation:
     @property
     def n(self) -> int:
         return len(self.images)
-
-    def image(self, i: int) -> int:
-        if not 1 <= i <= self.n:
-            raise IndexError(f"position {i} out of range 1..{self.n}")
-        return self.images[i - 1]
 
     def satisfies(self, b: RestrictionVector) -> bool:
         """True when pi(i) >= b_i for every position i."""
@@ -238,20 +229,10 @@ class Permutation:
 
 @dataclass(frozen=True)
 class CycleType:
-    """Multiset of cycle lengths, stored as sorted (length, multiplicity) pairs."""
+    """Multiset of cycle lengths, stored as sorted (length, multiplicity)
+    pairs; ``cycle_type`` builds it."""
 
     counts: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        counts = self.counts
-        if not isinstance(counts, tuple):
-            object.__setattr__(self, "counts", tuple(tuple(p) for p in counts))
-            counts = self.counts
-        if list(counts) != sorted(counts) or len({k for k, _ in counts}) != len(counts):
-            raise ValueError(f"counts must be sorted by length with unique lengths: {counts}")
-        for k, m in counts:
-            if k < 1 or m < 1:
-                raise ValueError(f"lengths and multiplicities must be positive: ({k}, {m})")
 
     def multiplicity(self, k: int) -> int:
         """Number of cycles of length k."""
@@ -259,14 +240,6 @@ class CycleType:
             if length == k:
                 return m
         return 0
-
-    @property
-    def total_size(self) -> int:
-        return sum(k * m for k, m in self.counts)
-
-    @property
-    def cycle_count(self) -> int:
-        return sum(m for _, m in self.counts)
 
 
 def cycle_type(p: Permutation) -> CycleType:

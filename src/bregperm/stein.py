@@ -40,6 +40,7 @@ from .cycindex import _segment_count, mean_k_cycles, second_falling_formula_is_e
 CLT_STREAM_VERSION = 2
 _BLOCK_BYTES = 1 << 18  # per sampler work array: four of them fit a 1 MiB L2
 _SAMPLE_WORD_BUDGET = 1 << 28  # drawn plus returned words per sampler call: result < 1 GiB
+_PAIR_BUDGET = 1 << 24  # pairs of distinct cycles an independence probe scans: up to 5792 cycles
 
 
 def _check_indicator_args(n: int, k: int) -> None:
@@ -203,22 +204,18 @@ PRINTED_DEPENDENCY_SIZE_FACTOR = 2  # D = 2k in the headline bound
 WASSERSTEIN_TO_KOLMOGOROV_C = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def wasserstein_bound(n: int, k: int, dependency_size: int | None = None) -> float:
+def wasserstein_bound(n: int, k: int) -> float:
     """Upper bound on the Wasserstein distance between the standardised
-    k-cycle count and the standard normal (module docstring formula).
-
-    dependency_size defaults to D = 2k; pass 2k + 1 for the variant implied
-    by the detected dependence radius.
+    k-cycle count and the standard normal (module docstring formula), at
+    neighbourhood size D = 2k.  ``stein_bound_report`` also carries the
+    variant at 2k + 1 implied by the detected dependence radius.
 
     >>> round(wasserstein_bound(10, 1), 2)
     2.98
     """
     _check_indicator_args(n, k)
     _require_exact_variance(n, k)
-    d = PRINTED_DEPENDENCY_SIZE_FACTOR * k if dependency_size is None else dependency_size
-    if d < 1:
-        raise ValueError(f"dependency size must be >= 1, got {d}")
-    return _wasserstein(d, *shifted_moment_sums(n, k), float(variance_k_cycles(n, k)))
+    return _wasserstein(PRINTED_DEPENDENCY_SIZE_FACTOR * k, *shifted_moment_sums(n, k), float(variance_k_cycles(n, k)))
 
 
 def _require_exact_variance(n: int, k: int) -> None:
@@ -465,6 +462,10 @@ class IndependenceProbeReport:
 def independence_probe(n: int, r: int = 3) -> IndependenceProbeReport:
     """Exhaustive independence scan over all cycles of the r-subdiagonal
     family of size n.  Evidence only; nothing downstream consumes this.
+
+    Raises CapExceeded as soon as the cycles numbered so far make more pairs
+    than ``_PAIR_BUDGET`` (2^24), before any pair is scanned; the reported
+    pair count is then a lower bound on the family's.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -474,6 +475,9 @@ def independence_probe(n: int, r: int = 3) -> IndependenceProbeReport:
     joint: Counter[tuple[int, int]] = Counter()
     for p in enumerate_b_regular(b):
         seen = sorted(ids.setdefault(cyc, len(ids)) for cyc in p.cycles())
+        pairs = len(ids) * (len(ids) - 1) // 2
+        if pairs > _PAIR_BUDGET:
+            raise CapExceeded("independence_probe cycle pairs (lower bound)", pairs, _PAIR_BUDGET)
         marginal.update(seen)
         joint.update(itertools.combinations(seen, 2))
     total = count_b_regular(b)

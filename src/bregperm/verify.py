@@ -175,7 +175,7 @@ def _check_core_cycles(full: bool, expect: _Expect) -> str:
                 rebuilt[a - 1] = b_
         expect(tuple(rebuilt) == p.images, "cycle decomposition of {} does not recompose", p.images)
         ct = cycle_type(p)
-        expect(ct.total_size == p.n and ct.cycle_count == len(p.cycles()),
+        expect(sum(k * m for k, m in ct.counts) == p.n and sum(m for _, m in ct.counts) == len(p.cycles()),
                "cycle type of {} inconsistent: {}", p.images, ct)
     return f"cycle decompositions recompose for {len(perms)} permutations"
 
@@ -312,7 +312,7 @@ def _check_bregular_cycle_shape(full: bool, expect: _Expect) -> str:
             for cycle in p.cycles():
                 lo, hi = min(cycle), max(cycle)
                 expect(set(cycle) == set(range(lo, hi + 1)), "cycle {} of {} is not an interval", cycle, p.images)
-                expect(p.image(lo) == hi and all(p.image(j) == j - 1 for j in range(lo + 1, hi + 1)),
+                expect(p.images[lo - 1] == hi and all(p.images[j - 1] == j - 1 for j in range(lo + 1, hi + 1)),
                        "cycle {} of {} is not a downward shift", cycle, p.images)
     return f"every cycle is a contiguous downward-shift block (n <= {top})"
 

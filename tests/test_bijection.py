@@ -38,8 +38,8 @@ class TestRecords:
         prof = record_positions(p)
         assert prof.positions[0] == 1
         for pos, val in zip(prof.positions, prof.values):
-            assert p.image(pos) == val
-            assert all(p.image(q) < val for q in range(1, pos))
+            assert p.images[pos - 1] == val
+            assert all(v < val for v in p.images[: pos - 1])
 
 
 class TestBothDirections:

@@ -11,7 +11,6 @@ from bregperm import oracles
 from bregperm.core import (
     CapExceeded,
     Composition,
-    CycleType,
     Permutation,
     RestrictionMatrix,
     RestrictionVector,
@@ -85,7 +84,7 @@ class TestRestrictionMatrix:
             (0, 0, 0, 1, 1),
             (0, 0, 0, 1, 1),
         )
-        assert m.entry(3, 1) == 0 and m.entry(3, 2) == 1
+        assert m.rows[2][0] == 0 and m.rows[2][1] == 1
 
     def test_rejects_empty_and_ragged_and_nonbinary(self):
         with pytest.raises(ValueError, match="at least one row"):
@@ -116,16 +115,14 @@ class TestRestrictionMatrix:
         m = matrix_from_vector(b)
         for i in range(1, b.n + 1):
             for j in range(1, b.n + 1):
-                assert m.entry(i, j) == (1 if j >= b[i] else 0)
+                assert m.rows[i - 1][j - 1] == (1 if j >= b[i] else 0)
 
 
 class TestPermutation:
     def test_images_and_validation(self):
         p = Permutation((2, 1, 3))
         assert p.n == 3
-        assert p.image(1) == 2 and p.image(3) == 3
-        with pytest.raises(IndexError):
-            p.image(0)
+        assert p.images[0] == 2 and p.images[2] == 3
         # a duplicate, 0, n + 1, a non-integer, mixed types: ValueError, never TypeError
         for images in ((1, 1, 3), (2, 3, 1, 3), (0, 1, 2), (1, 2, 4), (3, 1), (1, 1.5), ("a", 1), (1, "2")):
             with pytest.raises(ValueError, match="rearrangement"):
@@ -164,7 +161,7 @@ class TestPermutation:
         for c in cycles:
             assert c[0] == min(c)
             for t in range(len(c)):
-                assert p.image(c[t]) == c[(t + 1) % len(c)]
+                assert p.images[c[t] - 1] == c[(t + 1) % len(c)]
 
 
 class TestCycleType:
@@ -172,18 +169,8 @@ class TestCycleType:
         assert cycle_type(Permutation((2, 1, 3))).counts == ((1, 1), (2, 1))
         ct = cycle_type(Permutation((2, 3, 1, 5, 4, 6)))
         assert ct.counts == ((1, 1), (2, 1), (3, 1))
-        assert ct.total_size == 6
-        assert ct.cycle_count == 3
         assert ct.multiplicity(2) == 1
         assert ct.multiplicity(4) == 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CycleType(((2, 1), (1, 1)))  # not sorted by length
-        with pytest.raises(ValueError):
-            CycleType(((1, 1), (1, 2)))  # duplicate length
-        with pytest.raises(ValueError):
-            CycleType(((0, 1),))
 
     @given(strategies.permutations(max_n=12))
     @settings(deadline=None)
@@ -191,9 +178,9 @@ class TestCycleType:
         from collections import Counter
 
         expected = Counter(oracles.cycle_lengths(p.images))
-        ct = cycle_type(p)
-        assert dict(ct.counts) == dict(expected)
-        assert ct.total_size == p.n
+        counts = cycle_type(p).counts
+        assert counts == tuple(sorted(expected.items()))
+        assert sum(k * m for k, m in counts) == p.n
 
 
 class TestComposition:

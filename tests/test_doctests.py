@@ -1,9 +1,10 @@
-"""Run every module's docstring examples and the README's; they double as
-API anchors."""
+"""Run every module's docstring examples and the README's, library and
+console alike; they double as API anchors."""
 
 from __future__ import annotations
 
 import doctest
+import shlex
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ import bregperm.permanent
 import bregperm.stein
 import bregperm.verify
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = (
     bregperm.core,
     bregperm.permanent,
@@ -38,6 +40,23 @@ def test_module_doctests(module):
 
 
 def test_readme_examples():
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    result = doctest.testfile(str(readme), module_relative=False, verbose=False)
+    result = doctest.testfile(str(README), module_relative=False, verbose=False)
     assert result.attempted > 0 and result.failed == 0
+
+
+def test_readme_console_examples(tmp_path, monkeypatch, capsys):
+    # each `$ bregperm ...` line exits 0 and prints the lines shown under
+    # it, in order; `...` stands for lines left out
+    block = README.read_text().split("```console\n", 1)[1].split("```", 1)[0]
+    commands: list[tuple[list[str], list[str]]] = []
+    for line in block.splitlines():
+        if line.startswith("$ bregperm "):
+            commands.append((shlex.split(line.removeprefix("$ bregperm "), comments=True), []))
+        elif line and line != "...":
+            commands[-1][1].append(line)
+    assert commands
+    monkeypatch.chdir(tmp_path)  # `clt --out hist.csv` writes here
+    for argv, shown in commands:
+        assert bregperm.cli.main(argv) == 0, argv
+        printed = iter(capsys.readouterr().out.splitlines())
+        assert all(line in printed for line in shown), argv

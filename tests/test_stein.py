@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
@@ -150,6 +151,16 @@ class TestMomentSums:
             assert shifted_moment_sums(n, k) == (expected3, expected4)
 
 
+def module_formula(d: int, n: int, k: int) -> float:
+    """The module docstring's bound at neighbourhood size d, substituted directly."""
+    third, fourth = shifted_moment_sums(n, k)
+    sigma2 = float(variance_k_cycles(n, k))
+    sigma = math.sqrt(sigma2)
+    return d * d / sigma**3 * float(third) + math.sqrt(28.0) * d**1.5 / (
+        math.sqrt(math.pi) * sigma2
+    ) * math.sqrt(float(fourth))
+
+
 class TestBounds:
     def test_wasserstein_anchor(self):
         assert abs(wasserstein_bound(10, 1) - 2.97751086165139) < 1e-12
@@ -157,13 +168,7 @@ class TestBounds:
 
     def test_direct_substitution(self):
         for n, k in ((10, 1), (50, 2), (200, 3)):
-            d = PRINTED_DEPENDENCY_SIZE_FACTOR * k
-            third, fourth = shifted_moment_sums(n, k)
-            sigma2 = float(variance_k_cycles(n, k))
-            sigma = math.sqrt(sigma2)
-            expected = d * d / sigma**3 * float(third) + math.sqrt(28.0) * d**1.5 / (
-                math.sqrt(math.pi) * sigma2
-            ) * math.sqrt(float(fourth))
+            expected = module_formula(PRINTED_DEPENDENCY_SIZE_FACTOR * k, n, k)
             assert abs(wasserstein_bound(n, k) - expected) < 1e-9
 
     def test_kolmogorov_conversion(self):
@@ -191,7 +196,7 @@ class TestBounds:
         assert abs(rep.sigma - math.sqrt(27 / 8)) < 1e-12
         assert rep.wasserstein == wasserstein_bound(10, 1)
         assert rep.kolmogorov == kolmogorov_from_wasserstein(rep.wasserstein)
-        assert rep.wasserstein_at_measured_size == wasserstein_bound(10, 1, dependency_size=3)
+        assert rep.wasserstein_at_measured_size == module_formula(3, 10, 1)
         assert rep.wasserstein_at_measured_size > rep.wasserstein
 
     def test_variance_guard(self):
@@ -357,6 +362,24 @@ class TestIndependenceProbe:
         for gap, independent, dependent in rep.gap_summary:
             assert gap >= 1
             assert independent >= 0 and dependent >= 0
+
+    def test_pair_budget_is_checked_before_the_scan(self, monkeypatch):
+        # past 5792 distinct cycles the pairs pass 2^24: refused while the
+        # cycles are numbered, not minutes into the pair scan
+        for n, r in ((12, 3), (15, 3), (9, 4), (10, 4), (11, 4), (8, 5), (9, 5), (10, 5), (9, 6)):
+            start = time.perf_counter()
+            with pytest.raises(CapExceeded) as info:
+                independence_probe(n, r)
+            assert time.perf_counter() - start < 1.0
+            assert (info.value.needed, info.value.cap) == (5794 * 5793 // 2, 1 << 24)
+        # the budget counts every pair of the numbered cycles: (9, 3) has 1145
+        pairs = 1145 * 1144 // 2
+        monkeypatch.setattr("bregperm.stein._PAIR_BUDGET", pairs)
+        assert independence_probe(9, 3).distinct_cycles == 1145
+        monkeypatch.setattr("bregperm.stein._PAIR_BUDGET", pairs - 1)
+        with pytest.raises(CapExceeded) as info:
+            independence_probe(9, 3)
+        assert info.value.needed == pairs
 
 
 class TestEvidencePins:
