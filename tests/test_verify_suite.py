@@ -1,7 +1,13 @@
 """The self-contained cross-verification suite: structure of its results,
 the pinned check set, and a full-level run requiring every check to pass
 and every public module-level function (and CLI subcommand) to be
-exercised; methods of the value types are outside that checklist."""
+exercised; methods of the value types are outside that checklist.
+
+`TestFullLevel` is how the test suite runs `verify full`, so it carries the
+exact cross-checks of the library against its oracles (counts, moments
+and the bijection against enumeration, closed forms on their ranges).
+The per-module test files do not restate them; with the acceptance gate
+they hold contracts, pins and properties over wider domains."""
 
 from __future__ import annotations
 
