@@ -14,11 +14,21 @@ Fill the free positions from n down to 1.  The n - l positions above l hold
 values >= b_l, and each pinned f < l holds f, so of the n - b_l + 1 values
 >= b_l exactly that factor is left for position l, whatever came before.
 At most l - b_l labels lie in [b_l, l), so every factor is at least 1.
+
+Read by label, the correction is an interval.  Since b is non-decreasing
+with b_l <= l, label f lowers the factor of exactly the positions l in
+(f, u_f], where u_f = #{l : b_l <= f} is found by bisection: its cover
+interval.  On a staircase b2(n) every cover interval is one position long.
+So a pinned count costs one pass over the n slacks, one bisection and one
+decrement per covered position for each label, and the multiplication of
+an integer of up to log2 |S_b| bits.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from operator import sub
 
 import numpy as np
 
@@ -172,27 +182,33 @@ def count_with_fixed_points(b: RestrictionVector, fixed: frozenset[int] | set[in
     """Number of permutations in S_b with pi(i) = i for every i in `fixed`.
 
     The product over unpinned positions i of 1 + i - b_i - #{f in fixed : b_i <= f < i},
-    read straight off b (see the module docstring).  Multiplied within
+    read straight off b (see the module docstring): each label f takes one
+    from the slack of every position in its cover interval (f, u_f], with u_f
+    the number of entries <= f.  One pass builds the n slacks, and the labels
+    add sum_f (u_f - f) decrements, |fixed| on a staircase.  Multiplied within
     ``core._COUNT_BIT_BUDGET`` (2^20 bits): CapExceeded before multiplying.
+    A label that is not an int, lies outside 1..n or repeats raises ValueError.
 
     >>> count_with_fixed_points(RestrictionVector.b2(5), {1})
     8
     >>> count_with_fixed_points(RestrictionVector.b2(5), {2, 3})
     2
     """
+    for f in fixed:
+        if not isinstance(f, int):
+            raise ValueError(f"fixed label is not an integer: {f!r}")
     labels = sorted(fixed)
-    if labels and not (1 <= labels[0] and labels[-1] <= b.n):
-        raise ValueError(f"fixed labels {labels} out of range 1..{b.n}")
-    pinned = set(labels)
-    if len(labels) != len(pinned):
+    n = b.n
+    if labels and not (1 <= labels[0] and labels[-1] <= n):
+        raise ValueError(f"fixed labels {labels} out of range 1..{n}")
+    if len(set(labels)) != len(labels):
         raise ValueError("fixed labels must be distinct")
-    slacks = []
-    for i, bi in enumerate(b, start=1):
-        if i in pinned:
-            continue
-        slack = 1 + i - bi
-        for f in labels:
-            if bi <= f < i:
-                slack -= 1
-        slacks.append(slack)
+    entries = b.entries
+    slacks = list(map(sub, range(2, n + 2), entries))  # slacks[l - 1] = 1 + l - b_l
+    for f in labels:
+        # every label covering position f is smaller, so already applied; a
+        # pinned position then adds a factor 1 and 0 bits
+        slacks[f - 1] = 1
+        for at in range(f, bisect_right(entries, f)):  # positions f + 1 .. u_f
+            slacks[at] -= 1
     return _slack_product(slacks, "count_with_fixed_points bits")

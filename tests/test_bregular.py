@@ -21,6 +21,7 @@ from bregperm.bregular import (
     sample_b_regular,
 )
 from bregperm.core import CapExceeded, Permutation, RestrictionVector
+from bregperm.cycindex import extract_factorial_moment
 
 
 class TestCount:
@@ -149,6 +150,14 @@ class TestFixedPointMoments:
         b = RestrictionVector.b2(5)
         assert fixed_point_mean(b) == Fraction(7, 4)
         assert fixed_point_variance(b) == Fraction(29, 16)
+
+    @pytest.mark.parametrize("n", [40, 77, 150])
+    def test_staircase_moments_equal_the_series(self, n):
+        # the pinned counts against the k = 1 composition series at workload sizes
+        m1 = extract_factorial_moment(n, 1, 1)
+        b = RestrictionVector.b2(n)
+        assert fixed_point_mean(b) == m1
+        assert fixed_point_variance(b) == extract_factorial_moment(n, 1, 2) + m1 - m1 * m1
 
     def test_unrestricted_family_mean_is_one(self):
         for n in range(1, 7):

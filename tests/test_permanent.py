@@ -172,6 +172,10 @@ class TestCountWithFixedPoints:
             count_with_fixed_points(b, {0})
         with pytest.raises(ValueError):
             count_with_fixed_points(b, {5})
+        # a non-integer label is refused, not rounded into the product or compared as a string
+        for label in (1.5, 2.0, "2"):
+            with pytest.raises(ValueError, match=f"not an integer: {label!r}"):
+                count_with_fixed_points(b, {label})
 
     def test_bit_budget_is_checked_before_multiplying(self):
         # with nothing pinned the count is |S_b|: 2^(2^20 + 1) for this b
@@ -188,6 +192,17 @@ class TestCountWithFixedPoints:
         labels = data.draw(st.sets(st.integers(min_value=1, max_value=b.n)), label="fixed")
         expected = sum(1 for images in oracles.family(b.entries) if all(images[f - 1] == f for f in labels))
         assert count_with_fixed_points(b, labels) == expected
+
+    @given(strategies.restriction_vectors(max_n=40), st.data())
+    @settings(deadline=None, max_examples=100)
+    def test_long_cover_intervals_match_reduction(self, b, data):
+        # an exact path that never walks a cover interval: pin each label by
+        # reducing b at it, largest first so the smaller labels keep their index
+        labels = data.draw(st.sets(st.integers(min_value=1, max_value=b.n), max_size=6), label="fixed")
+        reduced = b
+        for f in sorted(labels, reverse=True):
+            reduced = reduce_vector_on_fixed_point(reduced, f)
+        assert count_with_fixed_points(b, labels) == count_b_regular(reduced)
 
     @given(strategies.restriction_vectors(max_n=6), st.data())
     @settings(deadline=None, max_examples=60)
