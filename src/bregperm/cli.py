@@ -11,7 +11,9 @@ significant digits) and ``_render`` picks each part's stream or file.
 Exit codes: 0 success, 1 usage error (any argument the library rejects),
 2 verification failure, 3 resource cap exceeded (the library refuses, before
 the work starts, any operation over its fixed budget).  Exits 1 and 3 print
-one stderr line and no stdout.
+one stderr line and no stdout.  A reader that closes the pipe early (``|
+head``) ends the output quietly: nothing more is printed, on stderr either,
+and the exit code is the one the command computed.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import os
 import random
 import sys
 from fractions import Fraction
@@ -143,6 +146,7 @@ def _render(args: argparse.Namespace, argv: Sequence[str], record: _Record) -> i
         print(_text(line), file=stream)
     if table_to_stdout:
         _write_csv(sys.stdout, *table)
+    sys.stdout.flush()  # a closed pipe raises here, not in the interpreter's exit flush
     return record.code
 
 
@@ -188,6 +192,8 @@ def _cmd_clt(args: argparse.Namespace) -> _Record:
 def _cmd_sample(args: argparse.Namespace) -> _Record:
     if args.samples < 0:
         raise _UsageError(f"need --samples >= 0, got {args.samples}")
+    if args.seed < 0:  # random.Random would draw from abs(seed)
+        raise _UsageError(f"need --seed >= 0, got {args.seed}")
     b = parse_b_spec(args.b_spec)
     rng = random.Random(args.seed)
     return _Record({"b": b.entries}, (sample_b_regular(b, rng).images for _ in range(args.samples)))
@@ -271,7 +277,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         if digit_limit:
             sys.set_int_max_str_digits(0)
-        return _render(args, argv, _DISPATCH[args.cmd](args))
+        record = _DISPATCH[args.cmd](args)
+        return _render(args, argv, record)
+    except BrokenPipeError:  # the reader has gone: stop quietly with the command's exit code
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the exit flush cannot fail
+        return record.code
     except (ValueError, OverflowError) as exc:  # a _UsageError or an argument the library rejects
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -21,16 +21,11 @@ Any other exception raised inside a check fails that check alone, with
 detail ``TypeName: message``.
 
 ``run_checks`` returns one :class:`CheckResult` per suite; the CLI renders
-them and maps any failure to a nonzero exit code.  Each suite declares the
-public operations its claims rest on.  At the ``full`` level a last row
-reads the operations off the code -- every public function of the library
-modules and every CLI subcommand but ``verify`` -- and fails, naming them,
-if any is declared by no passing suite.
+them and maps any failure to a nonzero exit code.
 """
 
 from __future__ import annotations
 
-import inspect
 import io
 import itertools
 import math
@@ -598,63 +593,32 @@ def _check_cli_smoke(full: bool, expect: _Expect) -> str:
 # ---------------------------------------------------------------------------
 # driver
 
-# name, suite, and the public operations (module.op) the suite exercises
-_CHECKS: tuple[tuple[str, Callable[[bool, _Expect], str], tuple[str, ...]], ...] = (
-    ("core: restriction matrices", _check_core_matrix, ("core.matrix_from_vector",)),
-    ("core: cycle decompositions", _check_core_cycles, ("core.cycle_type",)),
-    ("permanent: two algorithms agree", _check_permanent_oracle,
-     ("permanent.permanent_ryser", "permanent.permanent_enumerate")),
-    ("permanent: product formula", _check_permanent_product, ("bregular.count_b_regular",)),
-    ("permanent: fixed-point minors", _check_permanent_fixed_points, ("permanent.count_with_fixed_points",)),
-    ("permanent: reduction order", _check_permanent_reduction_order, ("permanent.reduce_vector_on_fixed_point",)),
-    ("bregular: membership and counts", _check_bregular_membership,
-     ("bregular.enumerate_b_regular", "bregular.sample_b_regular")),
-    ("bregular: cycle-count means", _check_bregular_cycle_means, ("bregular.count_k_cycles",)),
-    ("bregular: fixed-point moments", _check_bregular_fixed_point_moments,
-     ("bregular.fixed_point_mean", "bregular.fixed_point_variance")),
-    ("bregular: cycle shape law", _check_bregular_cycle_shape, ()),
-    ("bijection: round trips", _check_bijection_roundtrip,
-     ("bijection.perm_to_composition", "bijection.composition_to_perm",
-      "bijection.enumerate_compositions", "bijection.record_positions",
-      "bijection.composition_from_index", "bijection.composition_to_index")),
-    ("bijection: cycles vs parts", _check_bijection_cycle_parts, ()),
-    ("bijection: part totals", _check_bijection_totals, ("bijection.total_k_parts",)),
-    ("cycindex: three pipelines", _check_cycindex_pipelines,
-     ("cycindex.mean_k_cycles", "cycindex.second_falling_moment",
-      "cycindex.variance_k_cycles", "cycindex.extract_factorial_moment",
-      "cycindex.mean_formula_is_exact", "cycindex.second_falling_formula_is_exact")),
-    ("cycindex: series health", _check_cycindex_series, ()),
-    ("stein: mean decomposition", _check_stein_mean_sum,
-     ("stein.indicator_probability", "stein.indicator_law")),
-    ("stein: covariance decomposition", _check_stein_covariance, ("stein.joint_indicator_probability",)),
-    ("stein: joint oracle", _check_stein_joint_oracle, ()),
-    ("stein: independence ranges", _check_stein_independence, ("stein.dependence_threshold",)),
-    ("stein: bound anchors", _check_stein_bound,
-     ("stein.shifted_moment_sums", "stein.wasserstein_bound", "stein.kolmogorov_from_wasserstein",
-      "stein.stein_bound_report")),
-    ("stein: sampled normal approximation", _check_stein_clt,
-     ("stein.clt_empirical_test", "stein.sample_k_part_counts", "stein.standard_normal_cdf")),
-    ("stein: wider-staircase probe", _check_independence_probe, ("stein.independence_probe",)),
-    ("cli: subcommand smoke", _check_cli_smoke,
-     ("cli.cmd_count", "cli.cmd_moments", "cli.cmd_bound", "cli.cmd_clt", "cli.cmd_sample", "cli.cmd_compose")),
+# name and suite, in run order
+_CHECKS: tuple[tuple[str, Callable[[bool, _Expect], str]], ...] = (
+    ("core: restriction matrices", _check_core_matrix),
+    ("core: cycle decompositions", _check_core_cycles),
+    ("permanent: two algorithms agree", _check_permanent_oracle),
+    ("permanent: product formula", _check_permanent_product),
+    ("permanent: fixed-point minors", _check_permanent_fixed_points),
+    ("permanent: reduction order", _check_permanent_reduction_order),
+    ("bregular: membership and counts", _check_bregular_membership),
+    ("bregular: cycle-count means", _check_bregular_cycle_means),
+    ("bregular: fixed-point moments", _check_bregular_fixed_point_moments),
+    ("bregular: cycle shape law", _check_bregular_cycle_shape),
+    ("bijection: round trips", _check_bijection_roundtrip),
+    ("bijection: cycles vs parts", _check_bijection_cycle_parts),
+    ("bijection: part totals", _check_bijection_totals),
+    ("cycindex: three pipelines", _check_cycindex_pipelines),
+    ("cycindex: series health", _check_cycindex_series),
+    ("stein: mean decomposition", _check_stein_mean_sum),
+    ("stein: covariance decomposition", _check_stein_covariance),
+    ("stein: joint oracle", _check_stein_joint_oracle),
+    ("stein: independence ranges", _check_stein_independence),
+    ("stein: bound anchors", _check_stein_bound),
+    ("stein: sampled normal approximation", _check_stein_clt),
+    ("stein: wider-staircase probe", _check_independence_probe),
+    ("cli: subcommand smoke", _check_cli_smoke),
 )
-
-
-def _public_operations() -> set[str]:
-    """The operations (``module.name``) `verify full` must exercise, read off
-    the code: every public function defined in a library module, and
-    ``cli.cmd_<name>`` for every subcommand but ``verify``, which the suite
-    cannot run from inside itself (tests/test_cli.py covers it)."""
-    from . import bijection, bregular, cli, core, cycindex, permanent, stein
-
-    ops = {
-        f"{module.__name__.rpartition('.')[2]}.{name}"
-        for module in (core, permanent, bregular, bijection, cycindex, stein)
-        for name, obj in vars(module).items()
-        if inspect.isfunction(obj) and obj.__module__ == module.__name__ and not name.startswith("_")
-    }
-    ops.update(f"cli.cmd_{name}" for name in cli._DISPATCH if name != "verify")
-    return ops
 
 
 def run_checks(level: str) -> list[CheckResult]:
@@ -663,28 +627,16 @@ def run_checks(level: str) -> list[CheckResult]:
         raise ValueError(f"unknown verification level {level!r}; choose from {sorted(LEVELS)}")
     full = level == "full"
     results: list[CheckResult] = []
-    exercised: set[str] = set()
-    for name, fn, ops in _CHECKS:
+    for name, fn in _CHECKS:
         expect = _Expect()
         start = time.perf_counter()
         try:
             passed, detail = True, fn(full, expect)
-            exercised.update(ops)
         except _Failure as failure:
             passed, detail = False, str(failure)
         except Exception as exc:  # a crash inside one check fails that check, not the run
             passed, detail = False, f"{type(exc).__name__}: {exc}"
         results.append(CheckResult(name, passed, detail, expect.count, time.perf_counter() - start))
-    if full:
-        wanted = _public_operations()
-        missing = sorted(wanted - exercised)
-        results.append(CheckResult(
-            "coverage: operation checklist",
-            not missing,
-            "every public function exercised" if not missing else f"not exercised: {', '.join(missing)}",
-            len(wanted),
-            0.0,
-        ))
     return results
 
 

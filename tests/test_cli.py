@@ -9,15 +9,18 @@ import hashlib
 import io
 import os
 import re
+import subprocess
 import sys
 import time
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bregperm
 from bregperm import __version__
 from bregperm.cli import main, parse_b_spec
 from bregperm.core import RestrictionVector
@@ -374,6 +377,13 @@ class TestSample:
         assert out == ""
         assert err.startswith("usage error: ") and err.count("\n") == 1
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        # random.Random(-5) draws what random.Random(5) draws
+        code, out, err = run(capsys, "sample", "b2:12", "--samples", "2", "--seed", "-5")
+        assert code == 1
+        assert out == ""
+        assert err == "usage error: need --seed >= 0, got -5\n"
+
     def test_different_seeds_differ(self, capsys):
         _, out1, _ = run(capsys, "sample", "b2:10", "--samples", "3", "--seed", "1")
         _, out2, _ = run(capsys, "sample", "b2:10", "--samples", "3", "--seed", "2")
@@ -507,6 +517,34 @@ class TestOutputBytes:
         if out_sha256 is not None:
             written = (tmp_path / argv[-1]).read_bytes()
             assert hashlib.sha256(written).hexdigest() == out_sha256
+
+
+class TestClosedPipe:
+    """A reader that stops early (`| head`) ends the output quietly: the
+    command's own exit code and nothing more on stderr.  The child runs with
+    Python's default block-buffered stdout, as from a shell."""
+
+    @pytest.mark.parametrize(
+        "argv, nbytes, stderr",
+        [
+            (("moments", "--n", "3000"), 100,  # the table goes to stdout, the metadata to stderr
+             f"command=moments\nargs=moments --n 3000\nversion={__version__}\n"),
+            (("sample", "b2:50", "--samples", "200000"), 100, ""),
+            (("sample", "b2:50", "--samples", "10"), 0, ""),  # all of it still buffered when the pipe closes
+        ],
+        ids=["moments", "sample", "sample-buffered"],
+    )
+    def test_reader_that_stops_early(self, argv, nbytes, stderr):
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(Path(bregperm.__file__).resolve().parents[1]),
+                                                          env.get("PYTHONPATH"))))
+        proc = subprocess.Popen([sys.executable, "-m", "bregperm.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.read(nbytes)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (0, stderr)
 
 
 class TestParserReuse:

@@ -1,7 +1,5 @@
 """The self-contained cross-verification suite: structure of its results,
-the pinned check set, and a full-level run requiring every check to pass
-and every public module-level function (and CLI subcommand) to be
-exercised; methods of the value types are outside that checklist.
+the pinned check set, and a full-level run requiring every check to pass.
 
 `TestFullLevel` is how the test suite runs `verify full`, so it carries the
 exact cross-checks of the library against its oracles (counts, moments
@@ -11,12 +9,14 @@ they hold contracts, pins and properties over wider domains."""
 
 from __future__ import annotations
 
+import inspect
+import sys
+from typing import Callable
+
 import pytest
 
-from bregperm.verify import _CHECKS, CheckResult, format_results, run_checks
-
-# every op some check declares; `verify full` requires this to cover the code
-DECLARED = frozenset(op for _, _, ops in _CHECKS for op in ops)
+from bregperm import bijection, bregular, cli, core, cycindex, permanent, stein
+from bregperm.verify import CheckResult, format_results, run_checks
 
 # The benchmark's per-check metrics and the `verify quick` output digest key
 # on these names; a check may move between suites but must not disappear.
@@ -47,9 +47,57 @@ CHECK_NAMES = [
 ]
 
 
+def public_operations() -> dict[str, Callable]:
+    """``module.name`` -> function for every public function defined in a
+    library module, and ``cli.cmd_<name>`` -> handler for every subcommand
+    but ``verify``, which a run of the checks cannot start from inside itself
+    (tests/test_cli.py runs it).  Methods of the value types are left out."""
+    ops = {
+        f"{module.__name__.rpartition('.')[2]}.{name}": obj
+        for module in (core, permanent, bregular, bijection, cycindex, stein)
+        for name, obj in vars(module).items()
+        if inspect.isfunction(obj) and obj.__module__ == module.__name__ and not name.startswith("_")
+    }
+    ops.update((f"cli.cmd_{name}", fn) for name, fn in cli._DISPATCH.items() if name != "verify")
+    return ops
+
+
+def recorded_run(monkeypatch: pytest.MonkeyPatch, level: str) -> tuple[list[CheckResult], list[str]]:
+    """Run the checks at `level` with every public operation wrapped, at each
+    ``bregperm.*`` attribute bound to it and in ``cli._DISPATCH``, to record
+    its calls; return the results and the operations never called.  The
+    wrappers stay until `monkeypatch` undoes them."""
+    called: set[str] = set()
+
+    def recording(op: str, fn: Callable) -> Callable:
+        def recorded(*args, **kwargs):
+            called.add(op)
+            return fn(*args, **kwargs)
+        return recorded
+
+    ops = public_operations()
+    wrappers = {fn: recording(op, fn) for op, fn in ops.items() if not op.startswith("cli.")}
+    for name, module in list(sys.modules.items()):
+        if name == "bregperm" or name.startswith("bregperm."):
+            for attr, obj in list(vars(module).items()):
+                if inspect.isfunction(obj) and obj in wrappers:
+                    monkeypatch.setattr(module, attr, wrappers[obj])
+    for name, fn in cli._DISPATCH.items():
+        if name != "verify":
+            monkeypatch.setitem(cli._DISPATCH, name, recording(f"cli.cmd_{name}", fn))
+    results = run_checks(level)
+    return results, sorted(ops.keys() - called)
+
+
 @pytest.fixture(scope="module")
-def quick() -> list[CheckResult]:
-    return run_checks("quick")
+def quick_run() -> tuple[list[CheckResult], list[str]]:
+    with pytest.MonkeyPatch.context() as mp:
+        return recorded_run(mp, "quick")
+
+
+@pytest.fixture(scope="module")
+def quick(quick_run) -> list[CheckResult]:
+    return quick_run[0]
 
 
 class TestStructure:
@@ -77,9 +125,8 @@ class TestStructure:
 
     def test_checklist_names_public_api(self):
         import bregperm
-        from bregperm.verify import _public_operations
 
-        ops = _public_operations()
+        ops = public_operations()
         assert {op.partition(".")[0] for op in ops} == {
             "core", "permanent", "bregular", "bijection", "cycindex", "stein", "cli"}
         for op in ops:
@@ -87,45 +134,43 @@ class TestStructure:
             if module != "cli":
                 assert hasattr(bregperm, name), f"{op} not re-exported"
 
+    def test_quick_level_calls_every_operation(self, quick_run):
+        # CI's installed-package job runs only `verify quick`, so this makes it
+        # a smoke test of the whole public API
+        _, uncalled = quick_run
+        assert uncalled == []
+
 
 class TestFullLevel:
-    def test_everything_passes_with_cli_coverage(self):
-        results = run_checks("full")
-        assert [r.name for r in results] == CHECK_NAMES + ["coverage: operation checklist"]
+    def test_everything_passes_with_cli_coverage(self, monkeypatch):
+        results, uncalled = recorded_run(monkeypatch, "full")
+        assert [r.name for r in results] == CHECK_NAMES
         failures = [r for r in results if not r.passed]
         assert not failures, format_results(results)
-        assert results[-1].assertions == len(DECLARED)
+        assert uncalled == []
 
 
 class TestCoverageRow:
-    """The coverage row reads the operations off the code, so a new public
-    function, or a check that stops declaring one, fails it by name."""
-
-    @staticmethod
-    def coverage(monkeypatch, ops) -> CheckResult:
-        import bregperm.verify
-
-        monkeypatch.setattr(bregperm.verify, "_CHECKS", (("stub", lambda full, expect: "ok", tuple(ops)),))
-        return run_checks("full")[-1]
+    """The calls are measured, not declared, so a new public function, or a
+    check that stops calling one, leaves it uncalled by name."""
 
     def test_new_library_function_fails_until_declared(self, monkeypatch):
-        import bregperm.stein
-
-        assert self.coverage(monkeypatch, DECLARED).passed
-
         def k_cycle_law(n, k):
             return n, k
 
         k_cycle_law.__module__ = "bregperm.stein"
-        monkeypatch.setattr(bregperm.stein, "k_cycle_law", k_cycle_law, raising=False)
-        row = self.coverage(monkeypatch, DECLARED)
-        assert not row.passed
-        assert row.detail == "not exercised: stein.k_cycle_law"
+        monkeypatch.setattr(stein, "k_cycle_law", k_cycle_law, raising=False)
+        _, uncalled = recorded_run(monkeypatch, "quick")
+        assert uncalled == ["stein.k_cycle_law"]
 
     def test_dropped_declaration_fails(self, monkeypatch):
-        row = self.coverage(monkeypatch, DECLARED - {"bijection.composition_to_index"})
-        assert not row.passed
-        assert row.detail == "not exercised: bijection.composition_to_index"
+        import bregperm.verify
+
+        checks = tuple(c for c in bregperm.verify._CHECKS if c[0] != "bijection: round trips")
+        monkeypatch.setattr(bregperm.verify, "_CHECKS", checks)
+        results, uncalled = recorded_run(monkeypatch, "quick")
+        assert len(results) == len(CHECK_NAMES) - 1
+        assert uncalled == ["bijection.composition_to_index", "bijection.record_positions"]
 
 
 class TestFailurePath:
