@@ -9,13 +9,21 @@ drives the enumerator and the uniform sampler below.
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 from typing import Iterator
 
-from .core import _ENUMERATION_BUDGET, CapExceeded, Permutation, RestrictionVector, _slack_product, cycle_type
-from .permanent import count_with_fixed_points
+from .core import (
+    _ENUMERATION_BUDGET,
+    CapExceeded,
+    Permutation,
+    RestrictionVector,
+    _bucket_product,
+    _slack_bits,
+    _slack_histogram,
+    cycle_type,
+)
+from .permanent import _pinned_count
 
 _SLACK_STEP_BUDGET = 1 << 23  # pinned counts of the fixed-point moments times max(n, log2 |S_b|)
 
@@ -23,15 +31,16 @@ _SLACK_STEP_BUDGET = 1 << 23  # pinned counts of the fixed-point moments times m
 def count_b_regular(b: RestrictionVector) -> int:
     """|S_b| = prod_i (1 + i - b_i), exactly.
 
-    Multiplied by ``core._slack_product``, which raises CapExceeded before
-    multiplying when log2 of the count exceeds 2^20 bits.
+    One power per distinct slack, multiplied by ``core._bucket_product``,
+    which raises CapExceeded before multiplying when log2 of the count
+    exceeds 2^20 bits.
 
     >>> count_b_regular(RestrictionVector.b2(5))
     16
     >>> count_b_regular(RestrictionVector((1, 1, 2, 4, 4)))
     8
     """
-    return _slack_product((1 + i - bi for i, bi in enumerate(b, start=1)), "count_b_regular bits")
+    return _bucket_product(_slack_histogram(b.entries), "count_b_regular bits")
 
 
 def enumerate_b_regular(b: RestrictionVector) -> Iterator[Permutation]:
@@ -105,16 +114,17 @@ def sample_b_regular(b: RestrictionVector, rng: random.Random | int) -> Permutat
     return Permutation(tuple(images))
 
 
-def _refuse_pinned_counts(b: RestrictionVector, counts: int, what: str) -> None:
-    """Raise CapExceeded, from the slacks alone, when `counts` pinned counts
-    of b exceed ``_SLACK_STEP_BUDGET``.
+def _refuse_pinned_counts(b: RestrictionVector, histogram: dict[int, int], counts: int, what: str) -> None:
+    """Raise CapExceeded, from b's slack histogram alone, when `counts`
+    pinned counts of b exceed ``_SLACK_STEP_BUDGET``.
 
-    Each count reads n slacks and multiplies an integer up to |S_b|, so it
-    costs max(n, log2 |S_b|) steps.  A staircase b2(n) has log2 |S_b| = n - 1
-    and costs n per count, while (1,) * n costs about n log2 n.
+    Each count moves a few positions per label between the histogram's
+    buckets and multiplies one power per distinct slack into an integer up
+    to |S_b|, so max(n, log2 |S_b|) steps bound it from above.  A staircase
+    b2(n) has log2 |S_b| = n - 1 and is charged n per count, while (1,) * n
+    is charged about n log2 n.
     """
-    bits = math.ceil(sum(math.log2(1 + i - bi) for i, bi in enumerate(b, start=1)))
-    steps = counts * max(b.n, bits)
+    steps = counts * max(b.n, _slack_bits(histogram))
     if steps > _SLACK_STEP_BUDGET:
         raise CapExceeded(what, steps, _SLACK_STEP_BUDGET)
 
@@ -124,17 +134,19 @@ def fixed_point_mean(b: RestrictionVector) -> Fraction:
 
     E[fix] = sum_i N_i / N, where N_i = ``count_with_fixed_points(b, {i})``
     and N = |S_b|: the integer counts are summed and one Fraction is built.
-    Raises CapExceeded before the first count when the n counts, at
+    b's slack histogram is built once, and N, the cap and every N_i read
+    it.  Raises CapExceeded before the first count when the n counts, at
     max(n, log2 N) steps each, exceed ``_SLACK_STEP_BUDGET`` (2^23, so
-    b2(n) for n <= 2896).
+    b2(n) for n <= 2896); each count costs no more than that.
 
     >>> fixed_point_mean(RestrictionVector.b2(5))
     Fraction(7, 4)
     """
-    n = b.n
-    _refuse_pinned_counts(b, n, "fixed_point_mean slack steps")
-    hits = sum(count_with_fixed_points(b, {i}) for i in range(1, n + 1))
-    return Fraction(hits, count_b_regular(b))
+    n, entries = b.n, b.entries
+    histogram = _slack_histogram(entries)
+    _refuse_pinned_counts(b, histogram, n, "fixed_point_mean slack steps")
+    hits = sum(_pinned_count(entries, histogram, (i,)) for i in range(1, n + 1))
+    return Fraction(hits, _bucket_product(histogram, "count_b_regular bits"))
 
 
 def fixed_point_variance(b: RestrictionVector) -> Fraction:
@@ -142,20 +154,22 @@ def fixed_point_variance(b: RestrictionVector) -> Fraction:
 
     By falling moments, Var = E[fix (fix - 1)] + mu - mu^2 with
     E[fix (fix - 1)] = 2 sum_{i<j} N_ij / N and mu = sum_i N_i / N, where
-    N_F = ``count_with_fixed_points(b, F)`` and N = |S_b|.  The pinned
-    counts are summed as integers and one Fraction is built at the end.
-    Raises CapExceeded before the first count when the n (n - 1) / 2 pair
-    counts, at max(n, log2 N) steps each, exceed ``_SLACK_STEP_BUDGET``
-    (2^23, so b2(n) for n <= 256).
+    N_F = ``count_with_fixed_points(b, F)`` and N = |S_b|.  b's slack
+    histogram is built once, and N, the cap and every N_F read it.  The
+    pinned counts are summed as integers and one Fraction is built at the
+    end.  Raises CapExceeded before the first count when the n (n - 1) / 2
+    pair counts, at max(n, log2 N) steps each, exceed ``_SLACK_STEP_BUDGET``
+    (2^23, so b2(n) for n <= 256); each count costs no more than that.
 
     >>> fixed_point_variance(RestrictionVector.b2(5))
     Fraction(29, 16)
     """
-    n = b.n
-    _refuse_pinned_counts(b, n * (n - 1) // 2, "fixed_point_variance slack steps")
-    total = count_b_regular(b)
-    singles = sum(count_with_fixed_points(b, {i}) for i in range(1, n + 1))
-    pairs = sum(count_with_fixed_points(b, {i, j}) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+    n, entries = b.n, b.entries
+    histogram = _slack_histogram(entries)
+    _refuse_pinned_counts(b, histogram, n * (n - 1) // 2, "fixed_point_variance slack steps")
+    total = _bucket_product(histogram, "count_b_regular bits")
+    singles = sum(_pinned_count(entries, histogram, (i,)) for i in range(1, n + 1))
+    pairs = sum(_pinned_count(entries, histogram, (i, j)) for i in range(1, n + 1) for j in range(i + 1, n + 1))
     return Fraction((2 * pairs + singles) * total - singles * singles, total * total)
 
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from operator import sub
+from typing import Iterator
 
 # Fixed budgets, each in the unit of the work it bounds, checked before that work starts.
 _ELEMENT_BUDGET = 1 << 20  # entries of a built matrix, or images of a built permutation
@@ -37,19 +38,28 @@ class CapExceeded(RuntimeError):
         self.cap = cap
 
 
-def _slack_product(slacks: Iterable[int], what: str) -> int:
-    """prod(slacks) of slacks >= 1, exactly.
+def _slack_histogram(entries: tuple[int, ...]) -> Counter[int]:
+    """Multiplicity of each slack s_l = 1 + l - b_l over the positions l of b."""
+    return Counter(map(sub, range(2, len(entries) + 2), entries))
 
-    Equal slacks are grouped and raised to their multiplicity, so a
-    staircase costs a few big multiplications, not one per position.
-    Raises CapExceeded, from the slacks alone and before multiplying, when
-    log2 of the product exceeds ``_COUNT_BIT_BUDGET`` (2^20 bits).
+
+def _slack_bits(buckets: dict[int, int]) -> int:
+    """ceil(log2 prod(s**m)) over the (slack s, multiplicity m) buckets."""
+    return math.ceil(sum(m * math.log2(s) for s, m in buckets.items()))
+
+
+def _bucket_product(buckets: dict[int, int], what: str) -> int:
+    """prod(s**m) over the (slack s >= 1, multiplicity m) buckets, exactly.
+
+    Each distinct slack is one power, so a staircase costs a few big
+    multiplications, not one per position.  Raises CapExceeded, from the
+    buckets alone and before multiplying, when log2 of the product exceeds
+    ``_COUNT_BIT_BUDGET`` (2^20 bits).
     """
-    groups = Counter(slacks)
-    bits = math.ceil(sum(m * math.log2(s) for s, m in groups.items()))
+    bits = _slack_bits(buckets)
     if bits > _COUNT_BIT_BUDGET:
         raise CapExceeded(what, bits, _COUNT_BIT_BUDGET)
-    return math.prod(s**m for s, m in groups.items())
+    return math.prod(s**m for s, m in buckets.items())
 
 
 @dataclass(frozen=True)

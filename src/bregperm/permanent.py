@@ -19,16 +19,23 @@ Read by label, the correction is an interval.  Since b is non-decreasing
 with b_l <= l, label f lowers the factor of exactly the positions l in
 (f, u_f], where u_f = #{l : b_l <= f} is found by bisection: its cover
 interval.  On a staircase b2(n) every cover interval is one position long.
-So a pinned count costs one pass over the n slacks, one bisection and one
-decrement per covered position for each label, and the multiplication of
-an integer of up to log2 |S_b| bits.
+
+So a count starts from b's slack histogram, the multiplicity of each
+slack value, which one pass over b builds and every count of that b can
+share.  Each label moves its pinned position to bucket 1 and lowers its
+cover interval.  Along the interval the slacks step up by one while b_l
+stays the same, and lowering such a run v..w by one moves a single
+position, from bucket w to bucket v - 1.  Then each distinct slack s of
+multiplicity m is one power s^m, and their product is an integer of up to
+log2 |S_b| bits.  A count therefore costs its labels, the runs of their
+cover intervals and the distinct slack values, not n.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from operator import sub
+from bisect import bisect_left, bisect_right
+from typing import Sequence
 
 import numpy as np
 
@@ -38,8 +45,9 @@ from .core import (
     CapExceeded,
     RestrictionMatrix,
     RestrictionVector,
+    _bucket_product,
     _refuse_matrix,
-    _slack_product,
+    _slack_histogram,
     matrix_from_vector,
 )
 
@@ -184,8 +192,9 @@ def count_with_fixed_points(b: RestrictionVector, fixed: frozenset[int] | set[in
     The product over unpinned positions i of 1 + i - b_i - #{f in fixed : b_i <= f < i},
     read straight off b (see the module docstring): each label f takes one
     from the slack of every position in its cover interval (f, u_f], with u_f
-    the number of entries <= f.  One pass builds the n slacks, and the labels
-    add sum_f (u_f - f) decrements, |fixed| on a staircase.  Multiplied within
+    the number of entries <= f.  One pass builds b's slack histogram; each
+    label then moves its own position to bucket 1 and one position per run
+    of its cover interval, 2 |fixed| moves on a staircase.  Multiplied within
     ``core._COUNT_BIT_BUDGET`` (2^20 bits): CapExceeded before multiplying.
     A label that is not an int, lies outside 1..n or repeats raises ValueError.
 
@@ -203,12 +212,29 @@ def count_with_fixed_points(b: RestrictionVector, fixed: frozenset[int] | set[in
         raise ValueError(f"fixed labels {labels} out of range 1..{n}")
     if len(set(labels)) != len(labels):
         raise ValueError("fixed labels must be distinct")
-    entries = b.entries
-    slacks = list(map(sub, range(2, n + 2), entries))  # slacks[l - 1] = 1 + l - b_l
-    for f in labels:
-        # every label covering position f is smaller, so already applied; a
-        # pinned position then adds a factor 1 and 0 bits
-        slacks[f - 1] = 1
-        for at in range(f, bisect_right(entries, f)):  # positions f + 1 .. u_f
-            slacks[at] -= 1
-    return _slack_product(slacks, "count_with_fixed_points bits")
+    return _pinned_count(b.entries, _slack_histogram(b.entries), labels)
+
+
+def _pinned_count(entries: tuple[int, ...], histogram: dict[int, int], labels: Sequence[int]) -> int:
+    """``count_with_fixed_points`` for distinct ascending labels in 1..n,
+    from ``core._slack_histogram(entries)``, which is left unchanged.
+
+    When label f comes, position l has lost one slack to each earlier label
+    in [b_l, l).  Along f's cover interval that loss changes only where b_l
+    does, so a run of equal b_l has consecutive slacks v..w, and lowering
+    them by one moves a single position from bucket w to bucket v - 1.
+    """
+    buckets = dict(histogram)
+    for k, f in enumerate(labels):
+        b = entries[f - 1]
+        buckets[f + 1 - b - (k - bisect_left(labels, b, 0, k))] -= 1
+        buckets[1] = buckets.get(1, 0) + 1  # a pinned position's factor
+        at, u = f, bisect_right(entries, f)  # 0-based indices of positions f + 1 .. u_f
+        while at < u:
+            b = entries[at]
+            stop = bisect_right(entries, b, at, u)
+            shift = b + k - bisect_left(labels, b, 0, k)  # slack at index i is i + 2 - shift
+            buckets[stop + 1 - shift] -= 1
+            buckets[at + 1 - shift] = buckets.get(at + 1 - shift, 0) + 1
+            at = stop
+    return _bucket_product(buckets, "count_with_fixed_points bits")

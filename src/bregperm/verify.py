@@ -219,7 +219,7 @@ def _check_permanent_fixed_points(full: bool, expect: _Expect) -> str:
                         for rr, row in enumerate(m.rows) if rr != i - 1
                     )))
                 expect(count_with_fixed_points(b, {i}) == minor_value,
-                       "fixing {} in b={}: reduction count differs from minor permanent", i, entries)
+                       "fixing {} in b={}: pinned-count differs from minor permanent", i, entries)
     return f"single-fixed-point counts equal minor permanents (n <= {top})"
 
 
@@ -292,12 +292,12 @@ def _check_bregular_fixed_point_moments(full: bool, expect: _Expect) -> str:
         cases.append(RestrictionVector.br(3, n))
     for b in cases:
         mean, var = oracles.fixed_point_stats(p.images for p in enumerate_b_regular(b))
-        reduced_mean, reduced_var = fixed_point_mean(b), fixed_point_variance(b)
-        expect(reduced_mean == mean, "fixed-point mean for b={}: reduction {} vs enumeration {}",
-               b.entries, reduced_mean, mean)
-        expect(reduced_var == var, "fixed-point variance for b={}: reduction {} vs enumeration {}",
-               b.entries, reduced_var, var)
-    return f"reduction-based moments equal enumeration on {len(cases)} vectors"
+        pinned_mean, pinned_var = fixed_point_mean(b), fixed_point_variance(b)
+        expect(pinned_mean == mean, "fixed-point mean for b={}: pinned-count {} vs enumeration {}",
+               b.entries, pinned_mean, mean)
+        expect(pinned_var == var, "fixed-point variance for b={}: pinned-count {} vs enumeration {}",
+               b.entries, pinned_var, var)
+    return f"pinned-count moments equal enumeration on {len(cases)} vectors"
 
 
 def _check_bregular_cycle_shape(full: bool, expect: _Expect) -> str:

@@ -22,6 +22,7 @@ from bregperm.bregular import (
 )
 from bregperm.core import CapExceeded, Permutation, RestrictionVector
 from bregperm.cycindex import extract_factorial_moment
+from bregperm.permanent import count_with_fixed_points
 
 
 class TestCount:
@@ -159,6 +160,18 @@ class TestFixedPointMoments:
         assert fixed_point_mean(b) == m1
         assert fixed_point_variance(b) == extract_factorial_moment(n, 1, 2) + m1 - m1 * m1
 
+    @given(strategies.restriction_vectors(max_n=40))
+    @settings(deadline=None, max_examples=50)
+    def test_moments_equal_the_public_pinned_counts(self, b):
+        # wide vectors have many distinct slacks and overlapping cover intervals
+        n = b.n
+        total = count_with_fixed_points(b, set())
+        singles = sum(count_with_fixed_points(b, {i}) for i in range(1, n + 1))
+        pairs = sum(count_with_fixed_points(b, {i, j}) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+        mean = Fraction(singles, total)
+        assert fixed_point_mean(b) == mean
+        assert fixed_point_variance(b) == Fraction(2 * pairs, total) + mean - mean * mean
+
     def test_unrestricted_family_mean_is_one(self):
         for n in range(1, 7):
             b = RestrictionVector((1,) * n)
@@ -166,7 +179,8 @@ class TestFixedPointMoments:
 
     def test_slack_budget_is_checked_before_counting(self):
         # the mean takes n pinned counts and the variance n (n - 1) / 2, each
-        # costing max(n, log2 |S_b|) steps; a staircase costs n per count
+        # charged max(n, log2 |S_b|) steps, an upper bound on a count read
+        # from the shared slack histogram; a staircase is charged n per count
         with pytest.raises(CapExceeded) as info:
             fixed_point_variance(RestrictionVector.b2(2000))
         assert (info.value.needed, info.value.cap) == (2000 * 1999 // 2 * 2000, 1 << 23)

@@ -502,7 +502,7 @@ class TestOutputBytes:
             (("compose", "to-perm", "1,3,1,5"),
              "b3dba8e4abdeb27e966a13d08b5f37daea62403903f42084634955a231b7f6db", EMPTY_SHA256, None),
             (("verify", "quick"),
-             "fd3e7b00d779ec263a3ca7e844b5d3ead87f13eefb31cac111469d529ffef12e", EMPTY_SHA256, None),
+             "be6cdbe9a0bbf62710b373b017dffa60100093785745af1da9ff1b93ac419361", EMPTY_SHA256, None),
         ],
         ids=["count-product", "count-permanent", "moments-csv", "moments-kv", "moments-out", "bound",
              "clt-kv", "clt-csv", "clt-out", "sample", "compose-to-comp", "compose-to-perm", "verify-quick"],
