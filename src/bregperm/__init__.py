@@ -19,18 +19,15 @@ from .core import (
     cycle_type,
     matrix_from_vector,
 )
-from .permanent import (
-    count_with_fixed_points,
-    permanent_enumerate,
-    permanent_ryser,
-    reduce_vector_on_fixed_point,
-)
+from .permanent import permanent_enumerate, permanent_ryser
 from .bregular import (
     count_b_regular,
     count_k_cycles,
+    count_with_fixed_points,
     enumerate_b_regular,
     fixed_point_mean,
     fixed_point_variance,
+    reduce_vector_on_fixed_point,
     sample_b_regular,
 )
 from .bijection import (

@@ -153,7 +153,7 @@ def _render(args: argparse.Namespace, argv: Sequence[str], record: _Record) -> i
 def _cmd_count(args: argparse.Namespace) -> _Record:
     b = parse_b_spec(args.b_spec)
     value = count_b_regular(b) if args.method == "product" else _staircase_permanent(b, args.method)
-    return _Record({"b": b.entries, "method": args.method, "count": value})
+    return _Record({"method": args.method, "count": value})
 
 
 def _cmd_moments(args: argparse.Namespace) -> _Record:
@@ -196,7 +196,7 @@ def _cmd_sample(args: argparse.Namespace) -> _Record:
         raise _UsageError(f"need --seed >= 0, got {args.seed}")
     b = parse_b_spec(args.b_spec)
     rng = random.Random(args.seed)
-    return _Record({"b": b.entries}, (sample_b_regular(b, rng).images for _ in range(args.samples)))
+    return _Record({}, (sample_b_regular(b, rng).images for _ in range(args.samples)))
 
 
 def _cmd_compose(args: argparse.Namespace) -> _Record:

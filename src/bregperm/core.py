@@ -10,16 +10,12 @@ threads.
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from dataclasses import dataclass
-from operator import sub
 from typing import Iterator
 
 # Fixed budgets, each in the unit of the work it bounds, checked before that work starts.
 _ELEMENT_BUDGET = 1 << 20  # entries of a built matrix, or images of a built permutation
 _ENUMERATION_BUDGET = 1 << 22  # members, or summed terms, of an exhaustive enumeration
-_COUNT_BIT_BUDGET = 1 << 20  # bits of an exact count, about 315 653 decimal digits
 _STAIRCASE_BUDGET = 1 << 21  # entries of a built b2 or br staircase vector
 
 
@@ -36,30 +32,6 @@ class CapExceeded(RuntimeError):
         self.what = what
         self.needed = needed
         self.cap = cap
-
-
-def _slack_histogram(entries: tuple[int, ...]) -> Counter[int]:
-    """Multiplicity of each slack s_l = 1 + l - b_l over the positions l of b."""
-    return Counter(map(sub, range(2, len(entries) + 2), entries))
-
-
-def _slack_bits(buckets: dict[int, int]) -> int:
-    """ceil(log2 prod(s**m)) over the (slack s, multiplicity m) buckets."""
-    return math.ceil(sum(m * math.log2(s) for s, m in buckets.items()))
-
-
-def _bucket_product(buckets: dict[int, int], what: str) -> int:
-    """prod(s**m) over the (slack s >= 1, multiplicity m) buckets, exactly.
-
-    Each distinct slack is one power, so a staircase costs a few big
-    multiplications, not one per position.  Raises CapExceeded, from the
-    buckets alone and before multiplying, when log2 of the product exceeds
-    ``_COUNT_BIT_BUDGET`` (2^20 bits).
-    """
-    bits = _slack_bits(buckets)
-    if bits > _COUNT_BIT_BUDGET:
-        raise CapExceeded(what, bits, _COUNT_BIT_BUDGET)
-    return math.prod(s**m for s, m in buckets.items())
 
 
 @dataclass(frozen=True)

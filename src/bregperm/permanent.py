@@ -1,41 +1,14 @@
-"""Exact permanents of 0/1 matrices, pinned fixed-point counts and reduction of restriction vectors.
+"""Exact permanents of 0/1 matrices.
 
 The permanent of the restriction matrix of b counts S_b, so these routines
 double as counting oracles.  Every result is exact: Python integers, or in
 the Ryser kernel residues modulo 2^64 and 2^31 - 1 joined by the Chinese
 remainder theorem.
-
-Pinned counts come straight from the slacks s_l = 1 + l - b_l: the
-permutations of S_b that fix every label in F number
-
-    prod over l not in F of (s_l - #{f in F : b_l <= f < l}).
-
-Fill the free positions from n down to 1.  The n - l positions above l hold
-values >= b_l, and each pinned f < l holds f, so of the n - b_l + 1 values
->= b_l exactly that factor is left for position l, whatever came before.
-At most l - b_l labels lie in [b_l, l), so every factor is at least 1.
-
-Read by label, the correction is an interval.  Since b is non-decreasing
-with b_l <= l, label f lowers the factor of exactly the positions l in
-(f, u_f], where u_f = #{l : b_l <= f} is found by bisection: its cover
-interval.  On a staircase b2(n) every cover interval is one position long.
-
-So a count starts from b's slack histogram, the multiplicity of each
-slack value, which one pass over b builds and every count of that b can
-share.  Each label moves its pinned position to bucket 1 and lowers its
-cover interval.  Along the interval the slacks step up by one while b_l
-stays the same, and lowering such a run v..w by one moves a single
-position, from bucket w to bucket v - 1.  Then each distinct slack s of
-multiplicity m is one power s^m, and their product is an integer of up to
-log2 |S_b| bits.  A count therefore costs its labels, the runs of their
-cover intervals and the distinct slack values, not n.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
-from typing import Sequence
 
 import numpy as np
 
@@ -45,9 +18,7 @@ from .core import (
     CapExceeded,
     RestrictionMatrix,
     RestrictionVector,
-    _bucket_product,
     _refuse_matrix,
-    _slack_histogram,
     matrix_from_vector,
 )
 
@@ -164,77 +135,3 @@ def _staircase_permanent(b: RestrictionVector, method: str) -> int:
     (_refuse_ryser if ryser else _refuse_enumerate)(b.n)
     m = matrix_from_vector(b)
     return permanent_ryser(m) if ryser else permanent_enumerate(m)
-
-
-def reduce_vector_on_fixed_point(b: RestrictionVector, i: int) -> RestrictionVector:
-    """Restriction vector for the permutations of S_b with pi(i) = i, after
-    deleting row and column i and relabelling order-preservingly.
-
-    Entry j > i keeps its value when b_j <= i (column i sat inside its ones
-    range) and drops by one otherwise.
-
-    >>> reduce_vector_on_fixed_point(RestrictionVector((1, 1, 2, 4, 4)), 2).entries
-    (1, 2, 3, 3)
-    >>> reduce_vector_on_fixed_point(RestrictionVector((1,)), 1).entries
-    ()
-    """
-    n = b.n
-    if not 1 <= i <= n:
-        raise ValueError(f"index {i} out of range 1..{n}")
-    entries = b.entries
-    reduced = entries[: i - 1] + tuple(v - 1 if v > i else v for v in entries[i:])
-    return RestrictionVector(reduced)
-
-
-def count_with_fixed_points(b: RestrictionVector, fixed: frozenset[int] | set[int]) -> int:
-    """Number of permutations in S_b with pi(i) = i for every i in `fixed`.
-
-    The product over unpinned positions i of 1 + i - b_i - #{f in fixed : b_i <= f < i},
-    read straight off b (see the module docstring): each label f takes one
-    from the slack of every position in its cover interval (f, u_f], with u_f
-    the number of entries <= f.  One pass builds b's slack histogram; each
-    label then moves its own position to bucket 1 and one position per run
-    of its cover interval, 2 |fixed| moves on a staircase.  Multiplied within
-    ``core._COUNT_BIT_BUDGET`` (2^20 bits): CapExceeded before multiplying.
-    A label that is not an int, lies outside 1..n or repeats raises ValueError.
-
-    >>> count_with_fixed_points(RestrictionVector.b2(5), {1})
-    8
-    >>> count_with_fixed_points(RestrictionVector.b2(5), {2, 3})
-    2
-    """
-    for f in fixed:
-        if not isinstance(f, int):
-            raise ValueError(f"fixed label is not an integer: {f!r}")
-    labels = sorted(fixed)
-    n = b.n
-    if labels and not (1 <= labels[0] and labels[-1] <= n):
-        raise ValueError(f"fixed labels {labels} out of range 1..{n}")
-    if len(set(labels)) != len(labels):
-        raise ValueError("fixed labels must be distinct")
-    return _pinned_count(b.entries, _slack_histogram(b.entries), labels)
-
-
-def _pinned_count(entries: tuple[int, ...], histogram: dict[int, int], labels: Sequence[int]) -> int:
-    """``count_with_fixed_points`` for distinct ascending labels in 1..n,
-    from ``core._slack_histogram(entries)``, which is left unchanged.
-
-    When label f comes, position l has lost one slack to each earlier label
-    in [b_l, l).  Along f's cover interval that loss changes only where b_l
-    does, so a run of equal b_l has consecutive slacks v..w, and lowering
-    them by one moves a single position from bucket w to bucket v - 1.
-    """
-    buckets = dict(histogram)
-    for k, f in enumerate(labels):
-        b = entries[f - 1]
-        buckets[f + 1 - b - (k - bisect_left(labels, b, 0, k))] -= 1
-        buckets[1] = buckets.get(1, 0) + 1  # a pinned position's factor
-        at, u = f, bisect_right(entries, f)  # 0-based indices of positions f + 1 .. u_f
-        while at < u:
-            b = entries[at]
-            stop = bisect_right(entries, b, at, u)
-            shift = b + k - bisect_left(labels, b, 0, k)  # slack at index i is i + 2 - shift
-            buckets[stop + 1 - shift] -= 1
-            buckets[at + 1 - shift] = buckets.get(at + 1 - shift, 0) + 1
-            at = stop
-    return _bucket_product(buckets, "count_with_fixed_points bits")

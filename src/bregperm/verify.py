@@ -50,9 +50,11 @@ from .bijection import (
 from .bregular import (
     count_b_regular,
     count_k_cycles,
+    count_with_fixed_points,
     enumerate_b_regular,
     fixed_point_mean,
     fixed_point_variance,
+    reduce_vector_on_fixed_point,
     sample_b_regular,
 )
 from .core import Permutation, RestrictionMatrix, RestrictionVector, cycle_type, matrix_from_vector
@@ -64,7 +66,7 @@ from .cycindex import (
     second_falling_moment,
     variance_k_cycles,
 )
-from .permanent import permanent_enumerate, permanent_ryser, reduce_vector_on_fixed_point, count_with_fixed_points
+from .permanent import permanent_enumerate, permanent_ryser
 from .stein import (
     clt_empirical_test,
     dependence_threshold,

@@ -5,16 +5,21 @@ from __future__ import annotations
 
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 import strategies
+import bregperm
 from bregperm import oracles
 from bregperm.bregular import (
     count_b_regular,
     count_k_cycles,
+    count_with_fixed_points,
     enumerate_b_regular,
     fixed_point_mean,
     fixed_point_variance,
@@ -22,7 +27,6 @@ from bregperm.bregular import (
 )
 from bregperm.core import CapExceeded, Permutation, RestrictionVector
 from bregperm.cycindex import extract_factorial_moment
-from bregperm.permanent import count_with_fixed_points
 
 
 class TestCount:
@@ -214,3 +218,25 @@ class TestCountKCycles:
     def test_matches_cycle_oracle(self, p):
         for k in range(1, p.n + 1):
             assert count_k_cycles(p, k) == oracles.count_cycles(p.images, k)
+
+
+class TestLayering:
+    def test_counting_loads_neither_numpy_nor_permanents(self):
+        # a bare package module skips __init__, so only the named modules and
+        # what they import get loaded
+        script = """
+import sys, types
+from fractions import Fraction
+package = types.ModuleType("bregperm")
+package.__path__ = [sys.argv[1]]
+sys.modules["bregperm"] = package
+import bregperm.core, bregperm.bregular, bregperm.bijection, bregperm.cycindex
+loaded = [name for name in ("numpy", "bregperm.permanent") if name in sys.modules]
+assert not loaded, loaded
+b = bregperm.core.RestrictionVector.b2(5)
+assert bregperm.bregular.count_b_regular(b) == 16
+assert bregperm.bregular.fixed_point_variance(b) == Fraction(29, 16)
+"""
+        package_dir = str(Path(bregperm.__file__).parent)
+        proc = subprocess.run([sys.executable, "-c", script, package_dir], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

@@ -13,16 +13,9 @@ from hypothesis import strategies as st
 
 import strategies
 from bregperm import oracles, permanent
-from bregperm.bregular import count_b_regular
+from bregperm.bregular import count_b_regular, count_with_fixed_points, reduce_vector_on_fixed_point
 from bregperm.core import CapExceeded, RestrictionMatrix, RestrictionVector, matrix_from_vector
-from bregperm.permanent import (
-    _CRT_PRIME,
-    _RYSER_BUDGET,
-    count_with_fixed_points,
-    permanent_enumerate,
-    permanent_ryser,
-    reduce_vector_on_fixed_point,
-)
+from bregperm.permanent import _CRT_PRIME, _RYSER_BUDGET, permanent_enumerate, permanent_ryser
 
 
 @pytest.fixture
@@ -133,6 +126,10 @@ class TestReduceVector:
             reduce_vector_on_fixed_point(b, 0)
         with pytest.raises(ValueError):
             reduce_vector_on_fixed_point(b, 5)
+        # a non-integer index is refused, not used as a slice bound or compared as a string
+        for index in (1.5, 2.0, "2"):
+            with pytest.raises(ValueError, match=f"not an integer: {index!r}"):
+                reduce_vector_on_fixed_point(b, index)
 
     @given(strategies.restriction_vectors(max_n=10), st.data())
     @settings(deadline=None)
