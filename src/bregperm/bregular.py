@@ -147,6 +147,8 @@ def sample_b_regular(b: RestrictionVector, rng: random.Random | int) -> Permutat
     regardless of earlier choices.
     """
     if isinstance(rng, int):
+        if rng < 0:  # random.Random would draw from abs(seed)
+            raise ValueError(f"seed must be >= 0, got {rng}")
         rng = random.Random(rng)
     n = b.n
     if n < 1:

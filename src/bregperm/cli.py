@@ -33,8 +33,8 @@ from .bregular import count_b_regular, sample_b_regular
 from .core import CapExceeded, Composition, Permutation, RestrictionVector
 from .cycindex import _refuse_moment_table, extract_factorial_moment
 from .permanent import _staircase_permanent
-from .stein import CLT_STREAM_VERSION, clt_empirical_test, stein_bound_report
-from .verify import CLT_PUBLISHED_SEED, LEVELS, format_results, run_checks
+from .stein import CLT_PUBLISHED_SEED, CLT_SAMPLE_COUNT, CLT_STREAM_VERSION, clt_empirical_test, stein_bound_report
+from .verify import LEVELS, format_results, run_checks
 
 
 class _UsageError(ValueError):
@@ -237,7 +237,7 @@ def build_parser() -> _Parser:
     p_clt = sub.add_parser("clt", help="seeded sampling run against the standard normal")
     p_clt.add_argument("--n", type=int, required=True)
     p_clt.add_argument("--k", type=int, required=True)
-    p_clt.add_argument("--samples", type=int, default=100_000)
+    p_clt.add_argument("--samples", type=int, default=CLT_SAMPLE_COUNT)
     p_clt.add_argument("--seed", type=int, default=CLT_PUBLISHED_SEED)
     p_clt.add_argument("--out", default=None, help="write the standardized histogram CSV here")
     p_clt.add_argument("--format", choices=("csv", "kv"), default="kv",

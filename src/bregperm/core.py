@@ -84,18 +84,14 @@ class RestrictionVector:
         >>> RestrictionVector.b2(5).entries
         (1, 1, 2, 3, 4)
         """
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        if n > _STAIRCASE_BUDGET:
-            raise CapExceeded("RestrictionVector.b2 entries", n, _STAIRCASE_BUDGET)
-        return cls((1,) + tuple(range(1, n)))
+        return cls.br(2, n)
 
     @classmethod
     def br(cls, r: int, n: int) -> "RestrictionVector":
         """The r-subdiagonal staircase: r leading ones, then 2, 3, ..., n-r+1.
 
-        Describes pi(i) >= max(1, i - r + 1).  br(2, n) == b2(n), and the
-        same entry budget applies.
+        Describes pi(i) >= max(1, i - r + 1).  Raises CapExceeded before
+        building anything when n exceeds ``_STAIRCASE_BUDGET``.
 
         >>> RestrictionVector.br(3, 6).entries
         (1, 1, 1, 2, 3, 4)
@@ -106,7 +102,7 @@ class RestrictionVector:
             raise ValueError(f"n must be >= 1, got {n}")
         if n > _STAIRCASE_BUDGET:
             raise CapExceeded("RestrictionVector.br entries", n, _STAIRCASE_BUDGET)
-        return cls(tuple(max(1, i - r + 1) for i in range(1, n + 1)))
+        return cls((1,) * min(r, n) + tuple(range(2, n - r + 2)))
 
 
 @dataclass(frozen=True)

@@ -34,16 +34,16 @@ def permanent_ryser(m: RestrictionMatrix) -> int:
     perm(M) = sum over column sets S of (-1)^(n-|S|) prod_i (row sum i over S).
     A table holds the row sums of every subset of the low columns (at most
     12), split by the parity of the subset.  The high-column subsets are
-    walked in Gray-code order, one column added or removed per step, and at
-    each step the products over rows are taken across the whole table at
-    once in wrapping uint64 arithmetic, which is exact modulo 2^64.  When
-    the permanent could reach 2^64 by Bregman's bound prod_i (r_i!)^(1/r_i)
-    over the row sums r_i, the walk is repeated modulo the prime 2^31 - 1
-    and the two residues are joined by the Chinese remainder theorem.  That
-    walk multiplies six rows at a time before each reduction: six row sums
-    of at most 25 times a residue stay below 2^59.  The
-    bound is at most both the product of the row sums and n!, and every n
-    the budget admits has n! < 2^64 * (2^31 - 1), so one residue suffices.
+    walked in Gray-code order, each step adding or removing one column in
+    the table itself, and at each step the products over rows are taken
+    across the whole table at once in wrapping uint64 arithmetic, which is
+    exact modulo 2^64.  When the permanent could reach 2^64 by Bregman's
+    bound prod_i (r_i!)^(1/r_i) over the row sums r_i, the walk is repeated
+    modulo the prime 2^31 - 1 and the two residues are joined by the Chinese
+    remainder theorem.  That walk multiplies six rows at a time before each
+    reduction: six row sums of at most 25 times a residue stay below 2^59.
+    The bound is at most both the product of the row sums and n!, and every
+    n the budget admits has n! < 2^64 * (2^31 - 1), so one residue suffices.
 
     Raises CapExceeded before allocating anything when n * 2^n exceeds
     ``_RYSER_BUDGET`` (2^30, so n <= 25).
@@ -51,13 +51,19 @@ def permanent_ryser(m: RestrictionMatrix) -> int:
     n = m.n
     _refuse_ryser(n)
     a = np.array(m.rows, dtype=np.uint64)
-    # low-column row sums, even-size subsets first: shape (n, 2^low)
+    # low-column row sums, even-size subsets in the first half: shape (n, 2^low)
     low = min(n, _LOW_COLUMNS)
-    even, odd = np.zeros((n, 1), dtype=np.uint64), np.zeros((n, 0), dtype=np.uint64)
-    for j in range(low):
+    half = 1 << (low - 1)
+    table = np.empty((n, 2 * half), dtype=np.uint64)
+    even, odd = table[:, :half], table[:, half:]
+    even[:, 0] = 0
+    odd[:, 0] = a[:, 0]
+    for j in range(1, low):
+        # column j doubles each half: its new block is the other half's old one plus column j
+        w = 1 << (j - 1)
         col = a[:, j : j + 1]
-        even, odd = np.concatenate((even, odd + col), axis=1), np.concatenate((odd, even + col), axis=1)
-    table = np.concatenate((even, odd), axis=1)
+        np.add(odd[:, :w], col, out=even[:, w : 2 * w])
+        np.add(even[:, :w], col, out=odd[:, w : 2 * w])
     value = _ryser_walk(a, table, low, None)
     # log2 of Bregman's bound: a zero row makes the permanent 0, so its factor
     # is skipped, and the margin is far above the float sum's rounding error
@@ -74,12 +80,14 @@ def _refuse_ryser(n: int) -> None:
 
 
 def _ryser_walk(a: np.ndarray, table: np.ndarray, low: int, p: int | None) -> int:
-    """Ryser's sum modulo p, or modulo 2^64 when p is None, as an int in [0, modulus)."""
+    """Ryser's sum modulo p, or modulo 2^64 when p is None, as an int in [0, modulus).
+
+    The walk adds the current high subset's columns into ``table`` and leaves
+    it as it found it.
+    """
     n = a.shape[0]
     half = table.shape[1] // 2
-    sums = np.empty_like(table)
     prods, chunk = np.empty(table.shape[1], dtype=np.uint64), np.empty(table.shape[1], dtype=np.uint64)
-    high = np.zeros((n, 1), dtype=np.uint64)  # row sums of the current high subset
     members = 0
     state = 0
     total = 0
@@ -89,22 +97,24 @@ def _ryser_walk(a: np.ndarray, table: np.ndarray, low: int, p: int | None) -> in
             col = a[:, low + flip : low + flip + 1]
             state ^= 1 << flip
             if state >> flip & 1:
-                high += col
+                table += col
                 members += 1
             else:
-                high -= col
+                table -= col
                 members -= 1
-        np.add(table, high, out=sums)
         if p is None:
-            np.multiply.reduce(sums, axis=0, out=prods)
+            np.multiply.reduce(table, axis=0, out=prods)
         else:
             prods.fill(1)
             for first in range(0, n, _PRIME_ROWS):
-                np.multiply.reduce(sums[first : first + _PRIME_ROWS], axis=0, out=chunk)
+                np.multiply.reduce(table[first : first + _PRIME_ROWS], axis=0, out=chunk)
                 prods *= chunk
                 prods %= p
         term = int(prods[:half].sum()) - int(prods[half:].sum())
         total += term if (n - members) % 2 == 0 else -term
+    if state:  # the last Gray word has one bit set: take its column back out
+        flip = state.bit_length() - 1
+        table -= a[:, low + flip : low + flip + 1]
     return total % (1 << 64 if p is None else p)
 
 

@@ -38,6 +38,9 @@ from .cycindex import _segment_count, mean_k_cycles, second_falling_formula_is_e
 
 # Bumped whenever the sampler maps a seed to different draws.
 CLT_STREAM_VERSION = 2
+# The published `clt` run: rerunning with these reproduces its numbers bit for bit.
+CLT_PUBLISHED_SEED = 42
+CLT_SAMPLE_COUNT = 100_000
 _BLOCK_BYTES = 1 << 18  # per sampler work array: four of them fit a 1 MiB L2
 _SAMPLE_WORD_BUDGET = 1 << 28  # drawn plus returned words per sampler call: result < 1 GiB
 _PAIR_BUDGET = 1 << 24  # pairs of distinct cycles an independence probe scans: up to 5792 cycles
@@ -238,7 +241,7 @@ def kolmogorov_from_wasserstein(dw: float) -> float:
     >>> round(kolmogorov_from_wasserstein(math.sqrt(2 * math.pi) / 2), 12)
     1.0
     """
-    if dw < 0:
+    if not dw >= 0:  # NaN too
         raise ValueError(f"distance bound must be >= 0, got {dw}")
     return math.sqrt(2.0 * WASSERSTEIN_TO_KOLMOGOROV_C * dw)
 

@@ -68,6 +68,8 @@ from .cycindex import (
 )
 from .permanent import permanent_enumerate, permanent_ryser
 from .stein import (
+    CLT_PUBLISHED_SEED,
+    CLT_SAMPLE_COUNT,
     clt_empirical_test,
     dependence_threshold,
     independence_probe,
@@ -80,16 +82,13 @@ from .stein import (
     wasserstein_bound,
 )
 
-# Tolerances and seeds pinned for the statistical checks.  The seed is part
-# of the published interface: rerunning with these constants reproduces the
-# shipped numbers bit for bit.
+# Tolerances pinned for the statistical checks; the published seed and
+# sample count live in ``stein`` beside the stream version.
 KS_TOLERANCE = 0.02
 MEAN_SE_TOLERANCE = 3.0
 VARIANCE_REL_TOLERANCE = 0.05
 BOUND_MATCH_TOLERANCE = 1e-9
 SCALING_REL_TOLERANCE = 0.01
-CLT_PUBLISHED_SEED = 42
-CLT_SAMPLE_COUNT = 100_000
 
 #: Verification levels, cheapest first; a check sees only whether it runs at ``full``.
 LEVELS = ("quick", "full")

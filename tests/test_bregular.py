@@ -123,6 +123,11 @@ class TestSample:
         with pytest.raises(ValueError):
             sample_b_regular(RestrictionVector(()), 0)
 
+    def test_negative_seed_rejected(self):
+        # random.Random(-1) would silently draw seed 1's stream
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            sample_b_regular(RestrictionVector.b2(5), -1)
+
     def test_seeded_draws_are_pinned(self):
         # recorded outputs: any change to the draw stream shows here
         assert sample_b_regular(RestrictionVector.br(3, 12), 7).images == (

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -79,6 +80,18 @@ class TestPermanentRyser:
         # the prime joins with the one modulo 2^64
         largest = max(n for n in range(1, 64) if n << n <= _RYSER_BUDGET)
         assert math.factorial(largest) < (1 << 64) * _CRT_PRIME
+
+    def test_peak_memory_stays_within_two_tables(self):
+        # numpy reports its buffers to tracemalloc; the row-sum table of b2(18)
+        # is 18 rows of 2^12 uint64 sums, and the walk adds no copy of it
+        m = matrix_from_vector(RestrictionVector.b2(18))
+        tracemalloc.start()
+        try:
+            permanent_ryser(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 18 * (1 << 12) * 8
 
     def test_high_columns_match_product_formula(self):
         # n > 12 splits the columns into the row-sum table and the Gray walk

@@ -170,8 +170,9 @@ class TestBounds:
         assert abs(dk - math.sqrt(2.0 * WASSERSTEIN_TO_KOLMOGOROV_C * dw)) == 0
         assert abs(dk - 1.5413338204731901) < 1e-12
         assert dk > 1  # the conversion is reported uncapped
-        with pytest.raises(ValueError):
-            kolmogorov_from_wasserstein(-0.5)
+        for bad in (-0.5, float("nan")):
+            with pytest.raises(ValueError):
+                kolmogorov_from_wasserstein(bad)
 
     def test_bound_shrinks_like_square_root(self):
         small = wasserstein_bound(10_000, 1)
